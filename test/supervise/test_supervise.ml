@@ -199,6 +199,123 @@ let test_chaos_doom_set_is_deterministic () =
       Alcotest.(check (list string))
         "two pools under one seed lose the same keys" first second)
 
+(* --- the serve engine over a real pool ---------------------------------- *)
+
+(* [Serve.handle_batch] with a 2-worker pool behind it: the routed
+   answers must be byte-identical to the in-process ones, [stats] and
+   [metrics] must merge across shards, and the merged request histogram
+   must count each request once — at the parent, never again in a
+   worker. Jobs stay at 1 so the in-process leg spawns no domain. *)
+
+module Serve = Driver.Serve
+module Json = Obs.Json
+
+let req fields = Json.to_compact_string (Json.Obj fields)
+
+let named_req id op name =
+  req [ ("id", Json.Num (float_of_int id)); ("op", Json.Str op);
+        ("name", Json.Str name) ]
+
+let analyze_req id name source =
+  req [ ("id", Json.Num (float_of_int id)); ("op", Json.Str "analyze");
+        ("name", Json.Str name); ("source", Json.Str source) ]
+
+let num_at path j =
+  match
+    Option.bind
+      (List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j)
+         path)
+      Json.to_num
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "missing numeric field %s" (String.concat "." path)
+
+let test_serve_sharded_matches_local () =
+  Driver.Parallel.set_jobs 1;
+  Obs.Hist.reset ();
+  Obs.Probe.reset ();
+  Obs.Probe.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Probe.set_enabled false;
+      Obs.Probe.reset ();
+      Obs.Hist.reset ();
+      Driver.Fault.reset ();
+      Driver.Incr.clear ())
+  @@ fun () ->
+  (* Every function body distinct, so no two programs share a
+     content-addressed entry: per-shard stores then sum to the
+     in-process store exactly. *)
+  let progs =
+    [ ("alpha", "int main() { return 1; }\n");
+      ("beta", "int b(int x) { return x * 2; }\nint main() { return b(2); }\n");
+      ("gamma", "int c(int x) { if (x > 1) return x; return 0 - x; }\nint main() { return c(5) + 7; }\n");
+      ("delta", "int d(int y) { int s; s = 0; while (y > 0) { s = s + y; y = y - 1; } return s; }\nint main() { return d(4); }\n") ]
+  in
+  let batches =
+    [ List.mapi (fun i (name, src) -> analyze_req (i + 1) name src) progs
+      @ [ analyze_req 5 "broken" "int main( {";
+          req [ ("id", Json.Num 6.); ("op", Json.Str "analyze") ] ];
+      [ named_req 7 "scores" "alpha"; named_req 8 "invalidate" "beta";
+        named_req 9 "scores" "beta"; named_req 10 "scores" "gamma";
+        req [ ("id", Json.Num 11.); ("op", Json.Str "scores") ] ] ]
+  in
+  let sent = List.length (List.concat batches) in
+  let stats_line = req [ ("id", Json.Num 12.); ("op", Json.Str "stats") ] in
+  let metrics_line = req [ ("id", Json.Num 13.); ("op", Json.Str "metrics") ] in
+  let run ?dispatcher lines =
+    List.map Json.parse_exn (Serve.handle_batch ?dispatcher (ref false) lines)
+  in
+  let pool =
+    Supervise.start ~workers:2 ~init:(fun ~shard:_ -> ())
+      ~finalize:nop_finalize
+      ~handler:(fun line -> Serve.handle_one_line line)
+      ()
+  in
+  let routed, stats, metrics =
+    Fun.protect ~finally:(fun () -> Supervise.stop pool) @@ fun () ->
+    let shards =
+      List.sort_uniq compare
+        (List.map (fun (name, _) -> Supervise.shard_of pool name) progs)
+    in
+    Alcotest.(check (list int)) "the programs land on both shards" [ 0; 1 ]
+      shards;
+    let dispatcher = Serve.Sharded pool in
+    let routed =
+      List.concat_map
+        (Serve.handle_batch ~dispatcher (ref false))
+        batches
+    in
+    let stats = List.hd (run ~dispatcher [ stats_line ]) in
+    let metrics = List.hd (run ~dispatcher [ metrics_line ]) in
+    (routed, stats, metrics)
+  in
+  Driver.Fault.reset ();
+  let local = List.concat_map (Serve.handle_batch (ref false)) batches in
+  Alcotest.(check (list string)) "routed answers are the in-process answers"
+    local routed;
+  let local_stats = List.hd (run [ stats_line ]) in
+  List.iter
+    (fun field ->
+      Alcotest.(check (float 0.))
+        ("merged stats." ^ field ^ " sums the shards")
+        (num_at [ field ] local_stats) (num_at [ field ] stats))
+    [ "entries"; "bytes"; "hits"; "misses" ];
+  Alcotest.(check (float 0.)) "stats reports the pool" 2.
+    (num_at [ "workers" ] stats);
+  Alcotest.(check (float 0.)) "metrics reports the pool" 2.
+    (num_at [ "workers" ] metrics);
+  Alcotest.(check int) "metrics has one row per shard" 2
+    (match Json.member "shards" metrics with
+    | Some (Json.Arr rows) -> List.length rows
+    | _ -> -1);
+  Alcotest.(check (float 0.)) "worker cache counters merge"
+    (num_at [ "misses" ] stats)
+    (num_at [ "counters"; "incr.miss"; "hits" ] metrics);
+  Alcotest.(check (float 0.)) "serve.request.ns counts each request once"
+    (float_of_int (sent + 1))
+    (num_at [ "hists"; "serve.request.ns"; "count" ] metrics)
+
 (* --- registration ------------------------------------------------------- *)
 
 let suite =
@@ -215,7 +332,9 @@ let suite =
     Alcotest.test_case "crash loop trips the circuit breaker" `Slow
       test_circuit_breaker;
     Alcotest.test_case "chaos doom set is deterministic" `Slow
-      test_chaos_doom_set_is_deterministic ]
+      test_chaos_doom_set_is_deterministic;
+    Alcotest.test_case "serve: routed answers equal in-process ones" `Quick
+      test_serve_sharded_matches_local ]
 
 let () =
   Alcotest.run "static-estimators-supervise" [ ("supervise", suite) ]

@@ -29,7 +29,7 @@ module Json = Obs.Json
 (* [run_session_dirty] keeps whatever cache/probe state the test set up
    beforehand — the telemetry tests need to observe a daemon that
    starts mid-life. *)
-let rec run_session_dirty (lines : string list) : Json.t list =
+let rec run_session_raw (lines : string list) : string list =
   let in_path = Filename.temp_file "serve_in" ".ndjson" in
   let out_path = Filename.temp_file "serve_out" ".ndjson" in
   Fun.protect
@@ -52,15 +52,21 @@ let rec run_session_dirty (lines : string list) : Json.t list =
           close_in_noerr ic;
           close_out_noerr out)
         (fun () -> Serve.serve ic out);
-      let ic = open_in out_path in
-      let rec read acc =
-        match input_line ic with
-        | line -> read (Json.parse_exn line :: acc)
-        | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      in
-      read [])
+      read_lines out_path)
+
+and read_lines (path : string) : string list =
+  let ic = open_in path in
+  let rec read acc =
+    match input_line ic with
+    | line -> read (line :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  read []
+
+and run_session_dirty (lines : string list) : Json.t list =
+  List.map Json.parse_exn (run_session_raw lines)
 
 and run_session (lines : string list) : Json.t list =
   Incr.clear ();
@@ -475,6 +481,49 @@ let test_gauge_republish_after_reset () =
          is gone")
   | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs)
 
+(* --- golden transcript -------------------------------------------------- *)
+
+(* A fixed session — analyze, warm re-analyze, edit, scores, invalidate,
+   stats, malformed lines, a shutdown mid-batch — through the stdio
+   loop, compared byte for byte with the committed transcript. Only
+   [git_rev] is masked: no other field of these responses depends on
+   time or host. On a mismatch the actual transcript is written to a
+   temp file named in the failure, ready to review and commit. *)
+let mask_git_rev (line : string) : string =
+  let key = {|"git_rev":"|} in
+  let n = String.length line and k = String.length key in
+  let rec find i =
+    if i + k > n then None
+    else if String.sub line i k = key then Some (i + k)
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some start ->
+    let stop = String.index_from line start '"' in
+    String.sub line 0 start ^ "<masked>" ^ String.sub line stop (n - stop)
+
+let test_golden_transcript () =
+  Incr.set_budget Incr.default_budget;
+  Incr.clear ();
+  Incr.reset_stats ();
+  Parallel.set_jobs 1;
+  let actual =
+    List.map mask_git_rev
+      (run_session_raw (read_lines "golden/serve_session.ndjson"))
+  in
+  let expected = read_lines "golden/serve_transcript.expected" in
+  if actual <> expected then begin
+    let path = Filename.temp_file "serve_transcript" ".actual" in
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc l; output_char oc '\n') actual;
+    close_out oc;
+    Alcotest.failf
+      "transcript differs from golden/serve_transcript.expected \
+       (%d lines, want %d); actual written to %s"
+      (List.length actual) (List.length expected) path
+  end
+
 let suite =
   [ Alcotest.test_case "warm analyze: program hit, identical scores"
       `Quick test_warm_analyze;
@@ -497,4 +546,6 @@ let suite =
     Alcotest.test_case "slow log: ring + NDJSON sink carry span trees"
       `Quick (with_probes test_slow_log);
     Alcotest.test_case "store gauge survives a probe reset (regression)"
-      `Quick (with_probes test_gauge_republish_after_reset) ]
+      `Quick (with_probes test_gauge_republish_after_reset);
+    Alcotest.test_case "golden transcript through the stdio loop" `Quick
+      test_golden_transcript ]
