@@ -201,10 +201,10 @@ let intra_freqs_fn (c : compiled) (kind : intra_kind) (fn : Cfg.fn) :
     Markov_intra.block_freqs_combined ~usage:(usage_of c fn)
       ~inject_key:c.name ~fallback:loop_fallback c.tc fn
 
-(* Per-function caching hook. [Driver.Incr.install] replaces the
-   pass-through so every intra sweep in the process — suite runs,
-   experiments, the serve daemon — is served from the content-addressed
-   store. Core cannot depend on Driver, hence the injection point. The
+(* Per-function caching hook. [Driver.Incr.install] ([--incr-cache])
+   replaces the pass-through so every intra sweep in the process — suite
+   runs, experiments — is served from the content-addressed store; the
+   serve daemon needs no hook, [Incr.analyze] reads the store directly. Core cannot depend on Driver, hence the injection point. The
    hook must either return [compute ()] or a bit-identical previous
    return of an equivalent computation; [Incr] keys entries by function
    content hash, solver mode and the [Config] fingerprint to guarantee

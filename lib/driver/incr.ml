@@ -323,9 +323,6 @@ let hook (c : Pipeline.compiled) (kind : Pipeline.intra_kind) (fn : Cfg.fn)
 
 let install () : unit = Pipeline.intra_cache_hook := hook
 
-let uninstall () : unit =
-  Pipeline.intra_cache_hook := fun _ _ _ compute -> compute ()
-
 (* ------------------------------------------------------------------ *)
 (* Durable store attachment. [open_store dir] restores every valid
    entry from the directory's snapshot + journal into the table (a

@@ -120,8 +120,19 @@ let shutdown () =
   | Some p -> current_pool := None; Mutex.unlock pool_lock; retire_pool p
   | None -> Mutex.unlock pool_lock)
 
+(* The OCaml runtime runs at most 128 domains in one process
+   ([Max_domains] in 5.1, the default of OCAMLRUNPARAM's [d] from 5.2);
+   a pool of [n] jobs runs [n] of them, the calling domain included.
+   Refusing a larger level here keeps the next fan-out from dying in
+   [Domain.spawn]. *)
+let max_jobs = 128
+
 let set_jobs (n : int) : unit =
   reject_reentrant "set_jobs";
+  if n > max_jobs then
+    invalid_arg
+      (Printf.sprintf "Parallel.set_jobs: %d jobs exceeds the limit of %d" n
+         max_jobs);
   let n = max 1 n in
   if n <> Atomic.get jobs_setting then begin
     Atomic.set jobs_setting n;

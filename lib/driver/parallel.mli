@@ -42,8 +42,13 @@ val default_jobs : unit -> int
 val jobs : unit -> int
 (** The current process-wide parallelism level (>= 1). *)
 
+val max_jobs : int
+(** The largest parallelism level {!set_jobs} accepts: the OCaml
+    runtime's per-process domain limit (128). *)
+
 val set_jobs : int -> unit
-(** Set the parallelism level (clamped to >= 1). If a pool of a
+(** Set the parallelism level (clamped to >= 1; above {!max_jobs} it
+    raises [Invalid_argument] and keeps the current level). If a pool of a
     different size is running it is retired (its workers join) and the
     next {!map} spawns a fresh one — so the level may be resized
     between fan-outs at any point in a process's life (the serve

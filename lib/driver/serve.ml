@@ -2,17 +2,25 @@
    delimited JSON, answering from the warm incremental store.
 
    Framing. One request per line; a *blank line* (or EOF) closes a
-   batch. All [analyze] requests that are adjacent within a batch fan
-   out together — through [Parallel.map] in-process, or across the
-   supervised worker pool under [--workers]; the control operations
-   ([scores], [invalidate], [stats], [resize], [shutdown]) are
-   sequential barriers between fan-outs. Responses are written one per
-   line, in request order, after the whole batch has been processed,
-   then flushed — so a client that writes N lines and a blank line
-   reads exactly N lines back. The framing itself lives in
-   [Driver.Transport]; this module is carrier-agnostic and serves the
-   same protocol over stdin/stdout ([serve], the default of [bin
-   serve]) or a Unix-domain socket ([--socket PATH]).
+   batch. Responses are written one per line, in request order, after
+   the whole batch has been processed, then flushed — so a client that
+   writes N lines and a blank line reads exactly N lines back. The two
+   carriers, stdio ([serve], the default of [bin serve]) and a
+   Unix-domain socket ([--socket PATH]), only frame lines (splitting
+   lives in [Driver.Transport]) and hand each batch to one engine:
+
+   - [execute] runs a parsed request in this process, for the
+     in-process batch path and the [--workers] child alike.
+   - [handle_batch] splits a batch into runs of adjacent [analyze]
+     requests, which fan out together (across the domain pool, or the
+     shards under [--workers]), and single control requests, which are
+     sequential barriers between fan-outs.
+   - [route] sends named requests ([analyze], [scores], [invalidate]
+     with a name) to their shards and maps each supervised outcome to a
+     response. The only other sharded code merges [stats]/[metrics],
+     broadcasts a nameless [invalidate] and refuses [resize].
+   - [after_batch] is the housekeeping after every batch, in every
+     carrier and in the worker.
 
    Requests:   {"id": .., "op": "analyze", "name": s, "source": s,
                 "kinds": [s..]?, "runs": [{"argv": [s..], "input": s}..]?}
@@ -33,17 +41,20 @@
    request — once plus one replay — and was restarted), and
    ["deadline_exceeded": true] (the request overran [--deadline-ms]).
 
-   The [id] is echoed verbatim (any JSON value; [null] when the
+   The [id] is echoed as parsed (any JSON value; [null] when the
    request had none or did not parse).
 
-   Fault isolation. Each request body runs under [Fault.capture] with
-   the PR-4 taxonomy: a bad source degrades exactly one response —
-   carrying the fault's stage/exn detail — and never the daemon. The
-   fault log is reset after every batch so a long-running daemon's
-   memory stays bounded; clients that care read [stats.faults] (the
-   count for the current batch's log) before it resets. A [shutdown]
-   answers [ok] and stops after its batch; requests queued *behind* it
-   in the same batch get an error response rather than silence.
+   Fault isolation. Each request body runs under [Fault.capture]: a bad
+   source degrades exactly one response — carrying the fault's
+   stage/exn detail — and never the daemon. A pool task that dies
+   outside that capture (the ["worker"] chaos point) degrades its own
+   request to a [worker]-stage fault the same way, and a [resize] past
+   [Parallel.max_jobs] is refused with the old pool kept. The fault log
+   is reset after every batch so a long-running daemon's memory stays
+   bounded; clients that care read [stats.faults] (the count for the
+   current batch's log) before it resets. A [shutdown] answers [ok] and
+   stops after its batch; requests queued *behind* it in the same
+   batch get an error response rather than silence.
 
    Durability and drain. Under [--store DIR] every intra solution is
    journaled through [Incr]/[Persist] as it is computed, so a restart
@@ -72,60 +83,61 @@ let parse_request (line : string) : (request, Json.t * string) result =
     | None -> Error (id, "request has no \"op\" field")
     | Some op -> Ok { rq_id = id; rq_op = op; rq_body = j })
 
-(* The id of a raw line, for error responses built before (or instead
-   of) dispatch: shed, shutdown-drain, client bookkeeping. *)
+(* The id of a raw line, for error responses built instead of
+   dispatch: shed, shutdown-drain. *)
 let line_id (line : string) : Json.t =
   match parse_request line with Ok rq -> rq.rq_id | Error (id, _) -> id
 
-let parse_kinds (j : Json.t) :
-    (Core.Pipeline.intra_kind list option, string) result =
-  match Json.member "kinds" j with
+(* Each item of the array field [field] through [f]; [None] when the
+   field is absent, the first item error otherwise. *)
+let parse_array (field : string) (f : Json.t -> ('a, string) result)
+    (j : Json.t) : ('a list option, string) result =
+  match Json.member field j with
   | None -> Ok None
-  | Some ks ->
-    (match Json.to_list ks with
-    | None -> Error "\"kinds\" is not an array"
+  | Some v ->
+    (match Json.to_list v with
+    | None -> Error (Printf.sprintf "%S is not an array" field)
     | Some items ->
       let rec go acc = function
         | [] -> Ok (Some (List.rev acc))
-        | item :: rest ->
-          (match Option.bind (Json.to_str item) Core.Pipeline.intra_kind_of_string with
-          | Some k -> go (k :: acc) rest
-          | None ->
-            Error
-              (Printf.sprintf "unknown intra kind %s"
-                 (Json.to_compact_string item)))
+        | item :: rest -> Result.bind (f item) (fun x -> go (x :: acc) rest)
       in
       go [] items)
 
-let parse_runs (j : Json.t) :
-    (Core.Pipeline.run list, string) result =
-  match Json.member "runs" j with
-  | None -> Ok []
-  | Some rs ->
-    (match Json.to_list rs with
-    | None -> Error "\"runs\" is not an array"
-    | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-          let argv =
-            match Option.bind (Json.member "argv" item) Json.to_list with
-            | None -> Some []
-            | Some l ->
-              let strs = List.filter_map Json.to_str l in
-              if List.length strs = List.length l then Some strs else None
-          in
-          let input =
-            match Json.member "input" item with
-            | None -> Some ""
-            | Some v -> Json.to_str v
-          in
-          (match (argv, input) with
-          | Some argv, Some input ->
-            go ({ Core.Pipeline.argv; input } :: acc) rest
-          | _ -> Error "each run is {\"argv\": [str..], \"input\": str}")
+let parse_kinds (j : Json.t) :
+    (Core.Pipeline.intra_kind list option, string) result =
+  parse_array "kinds"
+    (fun item ->
+      match
+        Option.bind (Json.to_str item) Core.Pipeline.intra_kind_of_string
+      with
+      | Some k -> Ok k
+      | None ->
+        Error
+          (Printf.sprintf "unknown intra kind %s"
+             (Json.to_compact_string item)))
+    j
+
+let parse_runs (j : Json.t) : (Core.Pipeline.run list, string) result =
+  parse_array "runs"
+    (fun item ->
+      let argv =
+        match Option.bind (Json.member "argv" item) Json.to_list with
+        | None -> Some []
+        | Some l ->
+          let strs = List.filter_map Json.to_str l in
+          if List.length strs = List.length l then Some strs else None
       in
-      go [] items)
+      let input =
+        match Json.member "input" item with
+        | None -> Some ""
+        | Some v -> Json.to_str v
+      in
+      match (argv, input) with
+      | Some argv, Some input -> Ok { Core.Pipeline.argv; input }
+      | _ -> Error "each run is {\"argv\": [str..], \"input\": str}")
+    j
+  |> Result.map (Option.value ~default:[])
 
 (* ------------------------------------------------------------------ *)
 (* Responses. *)
@@ -145,11 +157,11 @@ let fault_error (id : Json.t) (f : Fault.t) : Json.t =
            ("recovery", Json.Str f.Fault.f_recovery) ])
     ]
 
-let plain_error (id : Json.t) (detail : string) : Json.t =
+let plain_error ?(recovery = "request rejected; daemon keeps serving")
+    (id : Json.t) (detail : string) : Json.t =
   fault_error id
     { Fault.f_stage = Fault.Experiment; f_subject = "serve";
-      f_detail = detail; f_exn = ""; f_backtrace = "";
-      f_recovery = "request rejected; daemon keeps serving" }
+      f_detail = detail; f_exn = ""; f_backtrace = ""; f_recovery = recovery }
 
 (* Marker-carrying errors (see the protocol comment above). *)
 
@@ -160,19 +172,13 @@ let with_marker (marker : string) (j : Json.t) : Json.t =
 
 let overloaded_response (id : Json.t) ~(queue_limit : int) : Json.t =
   with_marker "overloaded"
-    (fault_error id
-       { Fault.f_stage = Fault.Experiment; f_subject = "serve";
-         f_detail =
-           Printf.sprintf "pending-request queue limit %d exceeded"
-             queue_limit;
-         f_exn = ""; f_backtrace = "";
-         f_recovery =
-           "request shed before execution; retry after the daemon drains" })
+    (plain_error id
+       ~recovery:"request shed before execution; retry after the daemon drains"
+       (Printf.sprintf "pending-request queue limit %d exceeded" queue_limit))
 
 (* Worker-lost and supervised-deadline responses are *recorded* faults:
    they count toward [stats.faults] and turn the daemon's eventual exit
    code to 3, same as any other degradation. *)
-
 let worker_lost_response (id : Json.t) ~(name : string) (detail : string) :
     Json.t =
   let f =
@@ -196,78 +202,156 @@ let deadline_response (id : Json.t) ~(name : string) (seconds : float) :
 
 (* ------------------------------------------------------------------ *)
 (* The metrics snapshot: one JSON object of every counter, gauge and
-   histogram summary, plus the slow-request log. Schema versioned like
-   the run-record schema; bump on any shape change. *)
+   histogram summary, plus the slow-request log and the worker pool's
+   health. Schema versioned like the run-record schema; bump on any
+   shape change. *)
 
 let metrics_schema_version = 1
 
-let metrics_payload () : (string * Json.t) list =
+(* The shards' replies that parse; a lost or killed shard adds nothing
+   to a merge. *)
+let parsed_replies (replies : (int * Supervise.outcome) list) :
+    (int * Json.t) list =
+  List.filter_map
+    (fun (shard, o) ->
+      match o with
+      | Supervise.Reply l ->
+        Option.map (fun j -> (shard, j)) (Result.to_option (Json.parse l))
+      | Supervise.Deadline _ | Supervise.Lost _ -> None)
+    replies
+
+(* This process's tables merged with each shard's [metrics] reply (no
+   replies unsharded). Counters are sums (hits and totals add;
+   min-of-mins, max-of-maxes) and histograms are bucket merges — both
+   order-independent. Gauges are NOT summed: each shard's level was
+   sampled at a different instant, so the merged entry reports the
+   per-shard maximum, labelled with the shard that holds it, plus the
+   full per-shard list ([-1] is this process: the parent, or an
+   unsharded daemon). A client wanting total store bytes across shards
+   reads [stats.bytes], which sums a consistent per-store field
+   instead. *)
+let metrics_response ?(pool : Supervise.t option) (id : Json.t)
+    (replies : (int * Supervise.outcome) list) : Json.t =
   let num i = Json.Num (float_of_int i) in
-  let counters =
-    Json.Obj
-      (List.map
-         (fun (name, c) ->
-           ( name,
-             Json.Obj
-               [ ("hits", num c.Obs.Probe.hits);
-                 ("total", Json.Num c.Obs.Probe.total);
-                 ("min", Json.Num c.Obs.Probe.vmin);
-                 ("max", Json.Num c.Obs.Probe.vmax) ] ))
-         (Obs.Probe.counters ()))
+  let fnum field j = Option.bind (Json.member field j) Json.to_num in
+  let counters : (string, float * float * float * float) Hashtbl.t =
+    Hashtbl.create 64
   in
-  (* Gauges carry a shard label from day one so local and merged
-     snapshots parse identically; -1 is "this process" (the parent, or
-     an unsharded daemon). *)
-  let gauges =
-    Json.Obj
-      (List.map
-         (fun (name, v) ->
-           ( name,
-             Json.Obj
-               [ ("value", Json.Num v); ("shard", num (-1));
-                 ("per_shard", Json.Arr [ Json.Arr [ num (-1); Json.Num v ] ])
-               ] ))
-         (Obs.Probe.gauges ()))
+  let gauges : (string, (int * float) list) Hashtbl.t = Hashtbl.create 16 in
+  let hists : (string, Obs.Hist.snapshot) Hashtbl.t = Hashtbl.create 16 in
+  let add_counter name (h, t, mn, mx) =
+    Hashtbl.replace counters name
+      (match Hashtbl.find_opt counters name with
+      | None -> (h, t, mn, mx)
+      | Some (h0, t0, mn0, mx0) ->
+        (h0 +. h, t0 +. t, Float.min mn0 mn, Float.max mx0 mx))
   in
-  let hists =
-    Json.Obj
-      (List.map
-         (fun (name, s) -> (name, Obs.Hist.summary_json s))
-         (Obs.Hist.all ()))
+  let add_gauge name shard v =
+    Hashtbl.replace gauges name
+      (Option.value ~default:[] (Hashtbl.find_opt gauges name) @ [ (shard, v) ])
   in
+  let add_hist name s =
+    Hashtbl.replace hists name
+      (Obs.Hist.merge
+         (Option.value ~default:Obs.Hist.empty (Hashtbl.find_opt hists name))
+         s)
+  in
+  List.iter
+    (fun (name, c) ->
+      add_counter name
+        ( float_of_int c.Obs.Probe.hits, c.Obs.Probe.total, c.Obs.Probe.vmin,
+          c.Obs.Probe.vmax ))
+    (Obs.Probe.counters ());
+  List.iter (fun (name, v) -> add_gauge name (-1) v) (Obs.Probe.gauges ());
+  List.iter (fun (name, s) -> add_hist name s) (Obs.Hist.all ());
+  let fold_obj j field f =
+    match Json.member field j with
+    | Some (Json.Obj entries) -> List.iter f entries
+    | _ -> ()
+  in
+  List.iter
+    (fun (shard, j) ->
+      fold_obj j "counters" (fun (name, c) ->
+          match (fnum "hits" c, fnum "total" c, fnum "min" c, fnum "max" c)
+          with
+          | Some h, Some t, Some mn, Some mx -> add_counter name (h, t, mn, mx)
+          | _ -> ());
+      fold_obj j "gauges" (fun (name, g) ->
+          Option.iter (add_gauge name shard) (fnum "value" g));
+      fold_obj j "hists" (fun (name, h) ->
+          Option.iter (add_hist name) (Obs.Hist.of_json h)))
+    (parsed_replies replies);
+  let sorted tbl f =
+    Json.Obj
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map (fun (k, v) -> (k, f v)))
+  in
+  (* The slow log lives in the parent: slow detection times the whole
+     round trip, and only the parent holds merged trees. *)
   let recent =
     let entries = Reqtrace.slow_entries () in
     let skip = List.length entries - 8 in
     List.filteri (fun i _ -> i >= skip) entries
   in
-  let slow =
-    Json.Obj
-      [ ( "threshold_ms",
-          match Reqtrace.slow_ms () with
-          | None -> Json.Null
-          | Some t -> Json.Num t );
-        ("count", num (Reqtrace.slow_count ()));
-        ("recent", Json.Arr (List.map Reqtrace.slow_entry_to_json recent)) ]
-  in
-  [ ("schema", num metrics_schema_version);
-    ("counters", counters);
-    ("gauges", gauges);
-    ("hists", hists);
-    ("slow", slow);
-    ("workers", num 0);
-    ("workers_alive", num 0);
-    ("worker_restarts", num 0);
-    ("worker_lost", num 0);
-    ("shards", Json.Arr []);
-    ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
+  let pool_count f = num (match pool with Some p -> f p | None -> 0) in
+  ok_response id
+    [ ("schema", num metrics_schema_version);
+      ( "counters",
+        sorted counters (fun (h, t, mn, mx) ->
+            Json.Obj
+              [ ("hits", Json.Num h); ("total", Json.Num t);
+                ("min", Json.Num mn); ("max", Json.Num mx) ]) );
+      ( "gauges",
+        sorted gauges (fun per_shard ->
+            let best_shard, best =
+              List.fold_left
+                (fun (bs, bv) (s, v) -> if v > bv then (s, v) else (bs, bv))
+                (List.hd per_shard) (List.tl per_shard)
+            in
+            Json.Obj
+              [ ("value", Json.Num best); ("shard", num best_shard);
+                ( "per_shard",
+                  Json.Arr
+                    (List.map
+                       (fun (s, v) -> Json.Arr [ num s; Json.Num v ])
+                       per_shard) ) ]) );
+      ("hists", sorted hists Obs.Hist.summary_json);
+      ( "slow",
+        Json.Obj
+          [ ( "threshold_ms",
+              match Reqtrace.slow_ms () with
+              | None -> Json.Null
+              | Some t -> Json.Num t );
+            ("count", num (Reqtrace.slow_count ()));
+            ("recent", Json.Arr (List.map Reqtrace.slow_entry_to_json recent))
+          ] );
+      ("workers", pool_count Supervise.size);
+      ("workers_alive", pool_count Supervise.alive);
+      ("worker_restarts", pool_count Supervise.restarts);
+      ("worker_lost", pool_count Supervise.lost);
+      ( "shards",
+        Json.Arr
+          (List.map
+             (fun (ss : Supervise.shard_state) ->
+               Json.Obj
+                 [ ("shard", num ss.Supervise.ss_shard);
+                   ("alive", Json.Bool ss.Supervise.ss_alive);
+                   ("crashes", num ss.Supervise.ss_crashes);
+                   ("broken", Json.Bool ss.Supervise.ss_broken);
+                   ("restarts", num ss.Supervise.ss_restarts) ])
+             (match pool with Some p -> Supervise.shard_states p | None -> []))
+      );
+      ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
 
 (* ------------------------------------------------------------------ *)
-(* Per-request handlers. *)
+(* Running a request in this process. *)
 
 (* Last successful analysis per program name, so [scores] can answer
-   without re-running anything. Written only from the sequential merge
-   path of [handle_batch] (or, sharded, inside the owning worker);
-   bounded by the number of distinct names. *)
+   without re-running anything. Written only sequentially — by an
+   analyze's commit step, or by an [invalidate], which never fans out —
+   and, sharded, inside the owning worker; bounded by the number of
+   distinct names. *)
 let last_scores : (string, Score.t list) Hashtbl.t = Hashtbl.create 64
 
 let scores_json (scores : Score.t list) : Json.t =
@@ -288,11 +372,10 @@ let analysis_response (id : Json.t) (a : Incr.analysis) : Json.t =
          (List.map (fun (fn, h) -> (fn, Json.Str h)) a.Incr.an_fn_hashes));
       ("scores", scores_json a.Incr.an_scores) ]
 
-(* The parallel part of [analyze]: everything except the response-cache
-   write, which the merge path does sequentially. The cooperative
-   [deadline_s] rides into [Incr.analyze]; overrunning it raises
-   [Incr.Deadline_exceeded], which the capture below turns into a typed
-   fault response like any other per-request failure. *)
+(* The analysis itself. The cooperative [deadline_s] rides into
+   [Incr.analyze]; overrunning it raises [Incr.Deadline_exceeded],
+   which the capture below turns into a typed fault response like any
+   other per-request failure. *)
 let run_analyze ?(deadline_s : float option) (rq : request) :
     (Incr.analysis, Json.t) result =
   match member_str "name" rq.rq_body with
@@ -317,74 +400,122 @@ let run_analyze ?(deadline_s : float option) (rq : request) :
           | Error f ->
             let resp = fault_error rq.rq_id f in
             let resp =
-              if Fault.(f.f_exn) <> ""
-                 && String.length f.Fault.f_exn >= 17
-                 && String.sub f.Fault.f_exn 0 17 = "Driver.Incr.Deadl"
+              if String.starts_with ~prefix:"Driver.Incr.Deadline_exceeded"
+                   f.Fault.f_exn
               then with_marker "deadline_exceeded" resp
               else resp
             in
             Error resp))))
 
-let handle_control (stop : bool ref) (rq : request) : Json.t =
+(* Run one parsed request in this process. The work happens when
+   [execute] is applied — for [analyze], possibly on a pool domain —
+   and the returned commit step yields the response, after recording an
+   analysis in [last_scores]; callers run commit steps one at a time,
+   in request order, so those writes never race. *)
+let execute ?(deadline_s : float option) (stop : bool ref) (rq : request) :
+    unit -> Json.t =
+  let answer resp () = resp in
   match rq.rq_op with
+  | "analyze" ->
+    (match run_analyze ?deadline_s rq with
+    | Ok a ->
+      fun () ->
+        Hashtbl.replace last_scores a.Incr.an_name a.Incr.an_scores;
+        analysis_response rq.rq_id a
+    | Error resp -> answer resp)
   | "scores" ->
-    (match member_str "name" rq.rq_body with
-    | None -> plain_error rq.rq_id "scores needs a \"name\" field"
-    | Some name ->
-      (match Hashtbl.find_opt last_scores name with
-      | None ->
-        plain_error rq.rq_id
-          (Printf.sprintf "no analysis on record for %S" name)
-      | Some scores ->
-        ok_response rq.rq_id
-          [ ("name", Json.Str name); ("scores", scores_json scores) ]))
+    answer
+      (match member_str "name" rq.rq_body with
+      | None -> plain_error rq.rq_id "scores needs a \"name\" field"
+      | Some name ->
+        (match Hashtbl.find_opt last_scores name with
+        | None ->
+          plain_error rq.rq_id
+            (Printf.sprintf "no analysis on record for %S" name)
+        | Some scores ->
+          ok_response rq.rq_id
+            [ ("name", Json.Str name); ("scores", scores_json scores) ]))
   | "invalidate" ->
-    (match member_str "name" rq.rq_body with
-    | Some name ->
-      let dropped = Incr.invalidate ~name in
-      Hashtbl.remove last_scores name;
-      ok_response rq.rq_id
-        [ ("name", Json.Str name);
-          ("dropped", Json.Num (float_of_int dropped)) ]
-    | None ->
-      Incr.clear ();
-      Hashtbl.reset last_scores;
-      ok_response rq.rq_id [ ("cleared", Json.Bool true) ])
+    answer
+      (match member_str "name" rq.rq_body with
+      | Some name ->
+        let dropped = Incr.invalidate ~name in
+        Hashtbl.remove last_scores name;
+        ok_response rq.rq_id
+          [ ("name", Json.Str name);
+            ("dropped", Json.Num (float_of_int dropped)) ]
+      | None ->
+        Incr.clear ();
+        Hashtbl.reset last_scores;
+        ok_response rq.rq_id [ ("cleared", Json.Bool true) ])
   | "stats" ->
     let st = Incr.stats () in
     let num i = Json.Num (float_of_int i) in
-    ok_response rq.rq_id
-      [ ("entries", num st.Incr.st_entries);
-        ("bytes", num st.Incr.st_bytes);
-        ("budget", num st.Incr.st_budget);
-        ("hits", num st.Incr.st_hits);
-        ("misses", num st.Incr.st_misses);
-        ("evictions", num st.Incr.st_evictions);
-        ("bypasses", num st.Incr.st_bypasses);
-        ("restored", num st.Incr.st_restored);
-        ("journal_entries", num st.Incr.st_journal_entries);
-        ("snapshots", num st.Incr.st_snapshots);
-        ("persisted", Json.Bool st.Incr.st_persisted);
-        ("jobs", num (Parallel.jobs ()));
-        ("pool_size",
-         match Parallel.pool_size () with
-         | None -> Json.Null
-         | Some s -> num s);
-        ("faults", num (Fault.count ()));
-        (* Re-read per request — a long-running daemon must report the
-           repository's rev as it is *now*, not at startup. *)
-        ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
-  | "metrics" -> ok_response rq.rq_id (metrics_payload ())
+    answer
+      (ok_response rq.rq_id
+         [ ("entries", num st.Incr.st_entries);
+           ("bytes", num st.Incr.st_bytes);
+           ("budget", num st.Incr.st_budget);
+           ("hits", num st.Incr.st_hits);
+           ("misses", num st.Incr.st_misses);
+           ("evictions", num st.Incr.st_evictions);
+           ("bypasses", num st.Incr.st_bypasses);
+           ("restored", num st.Incr.st_restored);
+           ("journal_entries", num st.Incr.st_journal_entries);
+           ("snapshots", num st.Incr.st_snapshots);
+           ("persisted", Json.Bool st.Incr.st_persisted);
+           ("jobs", num (Parallel.jobs ()));
+           ("pool_size",
+            match Parallel.pool_size () with
+            | None -> Json.Null
+            | Some s -> num s);
+           ("faults", num (Fault.count ()));
+           (* Re-read per request — a long-running daemon must report
+              the repository's rev as it is *now*, not at startup. *)
+           ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ])
+  | "metrics" -> answer (metrics_response rq.rq_id [])
   | "resize" ->
-    (match Option.bind (Json.member "jobs" rq.rq_body) Json.to_num with
-    | None -> plain_error rq.rq_id "resize needs a numeric \"jobs\" field"
-    | Some n ->
-      Parallel.set_jobs (int_of_float n);
-      ok_response rq.rq_id [ ("jobs", Json.Num (float_of_int (Parallel.jobs ()))) ])
+    answer
+      (match Option.bind (Json.member "jobs" rq.rq_body) Json.to_num with
+      | None -> plain_error rq.rq_id "resize needs a numeric \"jobs\" field"
+      | Some n ->
+        (* [int_of_float] is unspecified past the int range; 1e18 is
+           past [Parallel.max_jobs] all the same. *)
+        (match Parallel.set_jobs (int_of_float (Float.min n 1e18)) with
+        | () ->
+          ok_response rq.rq_id
+            [ ("jobs", Json.Num (float_of_int (Parallel.jobs ()))) ]
+        | exception Invalid_argument msg -> plain_error rq.rq_id msg))
   | "shutdown" ->
     stop := true;
-    ok_response rq.rq_id [ ("stopping", Json.Bool true) ]
-  | op -> plain_error rq.rq_id (Printf.sprintf "unknown op %S" op)
+    answer (ok_response rq.rq_id [ ("stopping", Json.Bool true) ])
+  | op -> answer (plain_error rq.rq_id (Printf.sprintf "unknown op %S" op))
+
+(* ------------------------------------------------------------------ *)
+(* After every batch. *)
+
+(* Degradation is cumulative across the daemon's whole life even though
+   the fault log resets per batch: any degraded batch turns the
+   eventual exit code to 3. *)
+let faults_total = ref 0
+
+(* The housekeeping every carrier, and the worker after each line, runs
+   once a batch is answered. The batch's faults go to stderr as they
+   happen — the log resets, so this is what keeps the drain report
+   complete — and the log is reset to bound the daemon's memory. Store
+   gauges are re-published right after: a [metrics] call in the next
+   batch must never see the cache-size gauge missing because something
+   reset the probe tables. Counters and histograms accumulate for the
+   life of the process; [metrics] reads them. *)
+let after_batch () : unit =
+  let c = Fault.count () in
+  if c > 0 then begin
+    faults_total := !faults_total + c;
+    prerr_string (Fault.summary ());
+    flush stderr
+  end;
+  Fault.reset ();
+  Incr.republish_gauges ()
 
 (* ------------------------------------------------------------------ *)
 (* The worker side of [--workers]: handle exactly one request line and
@@ -400,60 +531,43 @@ let handle_one_line ?(deadline_s : float option) (line : string) : string =
      subtree back; ["__seq"] is the daemon-assigned request id, echoed
      inside the subtree envelope so the parent can verify it grafts the
      right request's spans. *)
-  let want_trace =
-    match parsed with
-    | Ok rq -> Json.member "__trace" rq.rq_body = Some (Json.Bool true)
-    | Error _ -> false
+  let envelope key =
+    match parsed with Ok rq -> Json.member key rq.rq_body | Error _ -> None
   in
-  let seq =
-    match parsed with
-    | Ok rq -> Option.bind (Json.member "__seq" rq.rq_body) Json.to_num
-    | Error _ -> None
-  in
+  let want_trace = envelope "__trace" = Some (Json.Bool true) in
   let handle () =
     match parsed with
     | Error (id, msg) -> plain_error id msg
-    | Ok rq when rq.rq_op = "analyze" ->
-      (match member_str "name" rq.rq_body with
-      | Some name when Obs.Inject.should_fire "serve.worker-kill" ~key:name
-        ->
+    | Ok rq ->
+      (match (rq.rq_op, member_str "name" rq.rq_body) with
+      | "analyze", Some name
+        when Obs.Inject.should_fire "serve.worker-kill" ~key:name ->
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         plain_error rq.rq_id "unreachable"
-      | _ ->
-        (match run_analyze ?deadline_s rq with
-        | Ok a ->
-          Hashtbl.replace last_scores a.Incr.an_name a.Incr.an_scores;
-          analysis_response rq.rq_id a
-        | Error resp -> resp))
-    | Ok rq -> handle_control (ref false) rq
+      | _ -> execute ?deadline_s (ref false) rq ())
   in
   let resp, root =
     Obs.Hist.time "serve.handle.ns" (fun () ->
         if want_trace then Reqtrace.with_root handle else (handle (), -1))
   in
   let resp =
-    if want_trace && root >= 0 then
-      match (Reqtrace.tree_of_root root (Obs.Probe.spans ()), resp) with
-      | Some tree, Json.Obj fields ->
+    match resp with
+    | Json.Obj fields when want_trace && root >= 0 ->
+      (match Reqtrace.tree_of_root root (Obs.Probe.spans ()) with
+      | Some tree ->
         Json.Obj
           (fields
           @ [ ( "__spans",
                 Json.Obj
-                  [ ( "seq",
-                      match seq with Some s -> Json.Num s | None -> Json.Null
-                    );
+                  [ ("seq", Option.value ~default:Json.Null (envelope "__seq"));
                     ("tree", Reqtrace.tree_to_json tree) ] ) ])
-      | _ -> resp
-    else resp
+      | None -> resp)
+    | _ -> resp
   in
   let s = Json.to_compact_string resp in
-  (* One request is this process's whole batch: reset the log after the
-     response (which already carries any fault detail) is built. Store
-     gauges are re-published and span buffers dropped for the same
-     bounded-memory reason — counters and histograms accumulate for the
-     life of the worker; [metrics] reads them. *)
-  Fault.reset ();
-  Incr.republish_gauges ();
+  (* One request is this process's whole batch; the response already
+     carries any fault detail. *)
+  after_batch ();
   if Obs.Probe.enabled () then Obs.Probe.reset_spans ();
   s
 
@@ -461,11 +575,14 @@ let handle_one_line ?(deadline_s : float option) (line : string) : string =
 (* Batch execution. *)
 
 (* Split a batch into maximal runs of adjacent analyzes (parallel) and
-   single control requests (barriers), preserving order. *)
+   single control requests (barriers), preserving order. An analyze
+   whose source already occurs in the current run starts a new run: it
+   is then answered from the store instead of solving the same content
+   concurrently with its twin. *)
 type group =
   | Analyzes of (int * request) list  (* original indices *)
   | Control of int * request
-  | Malformed of int * Json.t  (* ready-made error response *)
+  | Malformed of int * Json.t * string  (* id, error detail *)
 
 let group_requests (lines : string list) : group list =
   let parsed =
@@ -477,9 +594,12 @@ let group_requests (lines : string list) : group list =
   let rec go acc run = function
     | [] -> List.rev (flush_run acc run)
     | (i, Error (id, msg)) :: rest ->
-      go (Malformed (i, plain_error id msg) :: flush_run acc run) [] rest
+      go (Malformed (i, id, msg) :: flush_run acc run) [] rest
     | (i, Ok rq) :: rest when rq.rq_op = "analyze" ->
-      go acc ((i, rq) :: run) rest
+      let source = member_str "source" rq.rq_body in
+      if List.exists (fun (_, r) -> member_str "source" r.rq_body = source) run
+      then go (flush_run acc run) [ (i, rq) ] rest
+      else go acc ((i, rq) :: run) rest
     | (i, Ok rq) :: rest ->
       go (Control (i, rq) :: flush_run acc run) [] rest
   in
@@ -501,25 +621,19 @@ let merge_stats (pool : Supervise.t) (id : Json.t)
   let sums = Hashtbl.create 16 in
   let persisted = ref false in
   List.iter
-    (fun (_, o) ->
-      match o with
-      | Supervise.Reply line ->
-        (match Json.parse line with
-        | Error _ -> ()
-        | Ok j ->
-          List.iter
-            (fun f ->
-              match Option.bind (Json.member f j) Json.to_num with
-              | Some v ->
-                Hashtbl.replace sums f
-                  ((try Hashtbl.find sums f with Not_found -> 0.0) +. v)
-              | None -> ())
-            sum_fields;
-          (match Json.member "persisted" j with
-          | Some (Json.Bool true) -> persisted := true
-          | _ -> ()))
-      | Supervise.Deadline _ | Supervise.Lost _ -> ())
-    replies;
+    (fun (_, j) ->
+      List.iter
+        (fun f ->
+          match Option.bind (Json.member f j) Json.to_num with
+          | Some v ->
+            Hashtbl.replace sums f
+              ((try Hashtbl.find sums f with Not_found -> 0.0) +. v)
+          | None -> ())
+        sum_fields;
+      match Json.member "persisted" j with
+      | Some (Json.Bool true) -> persisted := true
+      | _ -> ())
+    (parsed_replies replies);
   let get f = try Hashtbl.find sums f with Not_found -> 0.0 in
   let num v = Json.Num v in
   ok_response id
@@ -538,127 +652,6 @@ let merge_stats (pool : Supervise.t) (id : Json.t)
         ("worker_lost", num (float_of_int (Supervise.lost pool)));
         ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ])
 
-(* Aggregate [metrics] across the parent and every shard. Counters are
-   sums (hits and totals add; min-of-mins, max-of-maxes) and histograms
-   are bucket merges — both order-independent. Gauges are NOT summed:
-   each shard's level was sampled at a different instant, so the merged
-   entry reports the per-shard maximum, labelled with the shard that
-   holds it, plus the full per-shard list ([[-1, v] is the parent). A
-   client wanting total store bytes across shards reads [stats.bytes],
-   which sums a consistent per-store field instead. *)
-let merge_metrics (pool : Supervise.t) (id : Json.t)
-    (replies : (int * Supervise.outcome) list) : Json.t =
-  let num i = Json.Num (float_of_int i) in
-  let fnum field j = Option.bind (Json.member field j) Json.to_num in
-  let parent = Json.Obj (metrics_payload ()) in
-  let sources =
-    (-1, parent)
-    :: List.filter_map
-         (fun (shard, o) ->
-           match o with
-           | Supervise.Reply l ->
-             (match Json.parse l with
-             | Ok j -> Some (shard, j)
-             | Error _ -> None)
-           | Supervise.Deadline _ | Supervise.Lost _ -> None)
-         replies
-  in
-  let counters : (string, float * float * float * float) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let gauges : (string, (int * float) list) Hashtbl.t = Hashtbl.create 16 in
-  let hists : (string, Obs.Hist.snapshot) Hashtbl.t = Hashtbl.create 16 in
-  let fold_obj j field f =
-    match Json.member field j with
-    | Some (Json.Obj entries) -> List.iter f entries
-    | _ -> ()
-  in
-  List.iter
-    (fun (shard, j) ->
-      fold_obj j "counters" (fun (name, c) ->
-          match (fnum "hits" c, fnum "total" c, fnum "min" c, fnum "max" c)
-          with
-          | Some h, Some t, Some mn, Some mx ->
-            let merged =
-              match Hashtbl.find_opt counters name with
-              | None -> (h, t, mn, mx)
-              | Some (h0, t0, mn0, mx0) ->
-                (h0 +. h, t0 +. t, Float.min mn0 mn, Float.max mx0 mx)
-            in
-            Hashtbl.replace counters name merged
-          | _ -> ());
-      fold_obj j "gauges" (fun (name, g) ->
-          match fnum "value" g with
-          | Some v ->
-            Hashtbl.replace gauges name
-              (Option.value ~default:[] (Hashtbl.find_opt gauges name)
-              @ [ (shard, v) ])
-          | None -> ());
-      fold_obj j "hists" (fun (name, h) ->
-          match Obs.Hist.of_json h with
-          | Some s ->
-            let s0 =
-              Option.value ~default:Obs.Hist.empty (Hashtbl.find_opt hists name)
-            in
-            Hashtbl.replace hists name (Obs.Hist.merge s0 s)
-          | None -> ()))
-    sources;
-  let sorted tbl f =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (k, v) -> (k, f v))
-  in
-  let counters_json =
-    Json.Obj
-      (sorted counters (fun (h, t, mn, mx) ->
-           Json.Obj
-             [ ("hits", Json.Num h); ("total", Json.Num t);
-               ("min", Json.Num mn); ("max", Json.Num mx) ]))
-  in
-  let gauges_json =
-    Json.Obj
-      (sorted gauges (fun per_shard ->
-           let best_shard, best =
-             List.fold_left
-               (fun (bs, bv) (s, v) -> if v > bv then (s, v) else (bs, bv))
-               (List.hd per_shard) (List.tl per_shard)
-           in
-           Json.Obj
-             [ ("value", Json.Num best); ("shard", num best_shard);
-               ( "per_shard",
-                 Json.Arr
-                   (List.map
-                      (fun (s, v) -> Json.Arr [ num s; Json.Num v ])
-                      per_shard) ) ]))
-  in
-  let hists_json = Json.Obj (sorted hists Obs.Hist.summary_json) in
-  let shards_json =
-    Json.Arr
-      (List.map
-         (fun (ss : Supervise.shard_state) ->
-           Json.Obj
-             [ ("shard", num ss.Supervise.ss_shard);
-               ("alive", Json.Bool ss.Supervise.ss_alive);
-               ("crashes", num ss.Supervise.ss_crashes);
-               ("broken", Json.Bool ss.Supervise.ss_broken);
-               ("restarts", num ss.Supervise.ss_restarts) ])
-         (Supervise.shard_states pool))
-  in
-  ok_response id
-    [ ("schema", num metrics_schema_version);
-      ("counters", counters_json);
-      ("gauges", gauges_json);
-      ("hists", hists_json);
-      (* The slow log lives in the parent: slow detection times the
-         whole round trip, and only the parent holds merged trees. *)
-      ("slow", Option.value ~default:Json.Null (Json.member "slow" parent));
-      ("workers", num (Supervise.size pool));
-      ("workers_alive", num (Supervise.alive pool));
-      ("worker_restarts", num (Supervise.restarts pool));
-      ("worker_lost", num (Supervise.lost pool));
-      ("shards", shards_json);
-      ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
-
 (* One request's telemetry, gathered while its group executes and
    resolved after the whole batch: the histogram recording and slow
    detection need [Probe.spans], which is only safe to snapshot once no
@@ -672,10 +665,47 @@ type req_telemetry = {
   rt_tree : Reqtrace.tree option;   (* pre-merged (sharded graft) *)
 }
 
-(* Requests answered since startup; the source of [__seq], the request
-   id the daemon assigns at ingress. Only written from the sequential
-   batch path. *)
-let req_seq = ref 0
+(* One answered request: its slot in the batch, its response line and
+   its telemetry. *)
+type answer = int * string * req_telemetry
+
+let name_of (rq : request) : string =
+  Option.value ~default:"" (member_str "name" rq.rq_body)
+
+let answered ?tree ?(root = -1) (i : int) (rq : request) (resp : string)
+    (dur_s : float) : answer =
+  ( i, resp,
+    { rt_id = rq.rq_id; rt_op = rq.rq_op; rt_name = name_of rq;
+      rt_dur_s = dur_s; rt_root = root; rt_tree = tree } )
+
+(* [f ()] under its own span root: result, root and wall seconds. *)
+let timed (f : unit -> 'a) : 'a * int * float =
+  let t0 = Unix.gettimeofday () in
+  let v, root = Reqtrace.with_root f in
+  (v, root, Unix.gettimeofday () -. t0)
+
+(* Fan a run of adjacent analyzes out across the domain pool. A task
+   that dies outside [execute]'s own capture — the ["worker"] chaos
+   point fires before the task body — answers its request with a
+   [worker]-stage fault instead of taking the batch down. *)
+let fan_out ?(deadline_s : float option) (stop : bool ref)
+    (rqs : (int * request) list) : answer list =
+  List.map2
+    (fun (i, rq) slot ->
+      match slot with
+      | Ok (commit, root, dur) ->
+        answered ~root i rq (Json.to_compact_string (commit ())) dur
+      | Error (e, bt) ->
+        let f =
+          Fault.absorb ~stage:Fault.Worker ~subject:(name_of rq)
+            ~detail:"serve analyze"
+            ~recovery:"request answered with an error response" e bt
+        in
+        answered i rq (Json.to_compact_string (fault_error rq.rq_id f)) 0.0)
+    rqs
+    (Parallel.map_results
+       (fun (_, rq) -> timed (fun () -> execute ?deadline_s stop rq))
+       rqs)
 
 (* Strip a worker's ["__spans"] envelope off its reply line, returning
    the client-facing line and the shipped tree — only when the echoed
@@ -695,206 +725,127 @@ let strip_spans ~(seq : int) (line : string) :
     (Json.to_compact_string (Json.Obj rest), tree)
   | Ok _ | Error _ -> (line, None)
 
+(* Send named requests to their shards in one fan-out and map each
+   outcome — the worker's reply, a hard-deadline kill, a lost worker —
+   to the request's response. With [tracing] the request carries the
+   tracing envelope and the worker's span subtree is grafted under the
+   parent's round trip. *)
+let route (pool : Supervise.t) ~(tracing : bool) ~(seq_of : int -> int)
+    (rqs : (int * request) list) : answer list =
+  let named, nameless =
+    List.partition_map
+      (fun (i, rq) ->
+        match member_str "name" rq.rq_body with
+        | Some name -> Left (i, name, rq)
+        | None -> Right (i, rq))
+      rqs
+  in
+  let forward i (rq : request) =
+    match rq.rq_body with
+    | Json.Obj fields when tracing ->
+      Json.to_compact_string
+        (Json.Obj
+           (fields
+           @ [ ("__trace", Json.Bool true);
+               ("__seq", Json.Num (float_of_int (seq_of i))) ]))
+    | body -> Json.to_compact_string body
+  in
+  let outcomes =
+    Supervise.request_many_timed pool
+      (List.map (fun (i, name, rq) -> (i, name, forward i rq)) named)
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  in
+  (* Without a name there is no shard; only an [analyze] gets here
+     nameless. *)
+  List.map
+    (fun (i, (rq : request)) ->
+      answered i rq
+        (Json.to_compact_string
+           (plain_error rq.rq_id (rq.rq_op ^ " needs a \"name\" field")))
+        0.0)
+    nameless
+  @ List.map2
+      (fun (i, name, rq) (_, outcome, dur) ->
+        let line, wtree =
+          match outcome with
+          | Supervise.Reply l ->
+            if tracing then strip_spans ~seq:(seq_of i) l else (l, None)
+          | Supervise.Deadline s ->
+            (Json.to_compact_string (deadline_response rq.rq_id ~name s), None)
+          | Supervise.Lost d ->
+            ( Json.to_compact_string (worker_lost_response rq.rq_id ~name d),
+              None )
+        in
+        let tree =
+          if tracing then
+            Some
+              (Reqtrace.graft ~shard:(Supervise.shard_of pool name)
+                 ~roundtrip_ns:(Int64.of_float (dur *. 1e9))
+                 wtree)
+          else None
+        in
+        answered ?tree i rq line dur)
+      named outcomes
+
+(* A control request that is not routed. Under [--workers], [stats]
+   and [metrics] broadcast and merge, a nameless [invalidate] clears
+   every shard and [resize] is refused; everything else runs here. *)
+let control (dispatcher : dispatcher) (stop : bool ref) (rq : request) :
+    Json.t =
+  let broadcast pool =
+    Supervise.broadcast pool (Json.to_compact_string rq.rq_body)
+  in
+  match (dispatcher, rq.rq_op) with
+  | Sharded pool, "stats" -> merge_stats pool rq.rq_id (broadcast pool)
+  | Sharded pool, "metrics" -> metrics_response ~pool rq.rq_id (broadcast pool)
+  | Sharded pool, "invalidate" ->
+    ignore (broadcast pool);
+    ok_response rq.rq_id [ ("cleared", Json.Bool true) ]
+  | Sharded _, "resize" ->
+    plain_error rq.rq_id
+      "resize is unavailable with --workers; restart the daemon to change \
+       the worker count"
+  | _ -> execute stop rq ()
+
+(* Requests answered since startup; the source of [__seq], the request
+   id the daemon assigns at ingress. Only written from the sequential
+   batch path. *)
+let req_seq = ref 0
+
 let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
     (stop : bool ref) (lines : string list) : string list =
   let n = List.length lines in
-  let responses = Array.make n "" in
-  let put i j = responses.(i) <- Json.to_compact_string j in
   let tracing = Obs.Probe.enabled () && Reqtrace.slow_ms () <> None in
   let seq_base = !req_seq in
   req_seq := !req_seq + n;
   let seq_of i = seq_base + i in
-  let telemetry : req_telemetry list ref = ref [] in
-  let note ?tree ?(root = -1) ~id ~op ~name dur_s =
-    if Obs.Probe.enabled () then
-      telemetry :=
-        { rt_id = id; rt_op = op; rt_name = name; rt_dur_s = dur_s;
-          rt_root = root; rt_tree = tree }
-        :: !telemetry
+  let reject (i, (rq : request)) =
+    answered i rq
+      (Json.to_compact_string (plain_error rq.rq_id "server is shutting down"))
+      0.0
   in
-  let name_of (rq : request) =
-    Option.value ~default:"" (member_str "name" rq.rq_body)
+  let answers =
+    List.concat_map
+      (fun group ->
+        match (group, dispatcher) with
+        | Malformed (i, id, msg), _ ->
+          [ answered i { rq_id = id; rq_op = "malformed"; rq_body = Json.Null }
+              (Json.to_compact_string (plain_error id msg)) 0.0 ]
+        | Analyzes rqs, _ when !stop -> List.map reject rqs
+        | Control (i, rq), _ when !stop -> [ reject (i, rq) ]
+        | Analyzes rqs, Local -> fan_out ?deadline_s stop rqs
+        | Analyzes rqs, Sharded pool -> route pool ~tracing ~seq_of rqs
+        | Control (i, ({ rq_op = "scores" | "invalidate"; _ } as rq)),
+          Sharded pool
+          when member_str "name" rq.rq_body <> None ->
+          route pool ~tracing ~seq_of [ (i, rq) ]
+        | Control (i, rq), _ ->
+          let resp, root, dur =
+            timed (fun () -> control dispatcher stop rq)
+          in
+          [ answered ~root i rq (Json.to_compact_string resp) dur ])
+      (group_requests lines)
   in
-  let now = Unix.gettimeofday in
-  (* Plain forwarding for broadcasts; traced forwarding (the tracing
-     envelope rides inside the NDJSON request object) for routed
-     requests, whose replies come back through [strip_spans]. *)
-  let forward (rq : request) : string = Json.to_compact_string rq.rq_body in
-  let forward_traced (rq : request) (seq : int) : string =
-    if not tracing then forward rq
-    else
-      match rq.rq_body with
-      | Json.Obj fields ->
-        Json.to_compact_string
-          (Json.Obj
-             (fields
-             @ [ ("__trace", Json.Bool true);
-                 ("__seq", Json.Num (float_of_int seq)) ]))
-      | _ -> forward rq
-  in
-  let unstrip slot line =
-    if tracing then strip_spans ~seq:(seq_of slot) line else (line, None)
-  in
-  List.iter
-    (fun group ->
-      match group with
-      | Malformed (i, resp) ->
-        put i resp;
-        note ~id:(Option.value ~default:Json.Null (Json.member "id" resp))
-          ~op:"malformed" ~name:"" 0.0
-      | _ when !stop ->
-        let reject i (rq : request) =
-          put i (plain_error rq.rq_id "server is shutting down");
-          note ~id:rq.rq_id ~op:rq.rq_op ~name:(name_of rq) 0.0
-        in
-        (match group with
-        | Analyzes rqs -> List.iter (fun (i, rq) -> reject i rq) rqs
-        | Control (i, rq) -> reject i rq
-        | Malformed _ -> ())
-      | Control (i, rq) -> (
-        let t0 = now () in
-        match dispatcher with
-        | Local ->
-          let resp, root =
-            Reqtrace.with_root (fun () -> handle_control stop rq)
-          in
-          put i resp;
-          note ~root ~id:rq.rq_id ~op:rq.rq_op ~name:(name_of rq)
-            (now () -. t0)
-        | Sharded pool ->
-          let finish () =
-            note ~id:rq.rq_id ~op:rq.rq_op ~name:(name_of rq) (now () -. t0)
-          in
-          (match rq.rq_op with
-          | "shutdown" ->
-            stop := true;
-            put i (ok_response rq.rq_id [ ("stopping", Json.Bool true) ]);
-            finish ()
-          | "resize" ->
-            put i
-              (plain_error rq.rq_id
-                 "resize is unavailable with --workers; restart the \
-                  daemon to change the worker count");
-            finish ()
-          | "stats" ->
-            put i
-              (merge_stats pool rq.rq_id
-                 (Supervise.broadcast pool (forward rq)));
-            finish ()
-          | "metrics" ->
-            put i
-              (merge_metrics pool rq.rq_id
-                 (Supervise.broadcast pool (forward rq)));
-            finish ()
-          | "invalidate" when member_str "name" rq.rq_body = None ->
-            ignore (Supervise.broadcast pool (forward rq));
-            put i (ok_response rq.rq_id [ ("cleared", Json.Bool true) ]);
-            finish ()
-          | "scores" | "invalidate" -> (
-            match member_str "name" rq.rq_body with
-            | None ->
-              put i
-                (plain_error rq.rq_id (rq.rq_op ^ " needs a \"name\" field"));
-              finish ()
-            | Some name ->
-              let shard = Supervise.shard_of pool name in
-              let graft wtree =
-                if tracing then
-                  Some
-                    (Reqtrace.graft ~shard
-                       ~roundtrip_ns:
-                         (Int64.of_float ((now () -. t0) *. 1e9))
-                       wtree)
-                else None
-              in
-              (match
-                 Supervise.request pool ~key:name (forward_traced rq (seq_of i))
-               with
-              | Supervise.Reply l ->
-                let l, wtree = unstrip i l in
-                responses.(i) <- l;
-                note ?tree:(graft wtree) ~id:rq.rq_id ~op:rq.rq_op ~name
-                  (now () -. t0)
-              | Supervise.Deadline s ->
-                put i (deadline_response rq.rq_id ~name s);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:rq.rq_op ~name
-                  (now () -. t0)
-              | Supervise.Lost d ->
-                put i (worker_lost_response rq.rq_id ~name d);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:rq.rq_op ~name
-                  (now () -. t0)))
-          | op ->
-            put i (plain_error rq.rq_id (Printf.sprintf "unknown op %S" op));
-            finish ()))
-      | Analyzes rqs -> (
-        match dispatcher with
-        | Local ->
-          let outcomes =
-            Parallel.map
-              (fun (_, rq) ->
-                let t0 = now () in
-                let outcome, root =
-                  Reqtrace.with_root (fun () -> run_analyze ?deadline_s rq)
-                in
-                (outcome, root, now () -. t0))
-              rqs
-          in
-          List.iter2
-            (fun (i, rq) (outcome, root, dur) ->
-              note ~root ~id:rq.rq_id ~op:"analyze" ~name:(name_of rq) dur;
-              match outcome with
-              | Ok a ->
-                Hashtbl.replace last_scores a.Incr.an_name a.Incr.an_scores;
-                put i (analysis_response rq.rq_id a)
-              | Error resp -> put i resp)
-            rqs outcomes
-        | Sharded pool ->
-          let items =
-            List.filter_map
-              (fun (i, rq) ->
-                match member_str "name" rq.rq_body with
-                | None ->
-                  put i
-                    (plain_error rq.rq_id "analyze needs a \"name\" field");
-                  note ~id:rq.rq_id ~op:"analyze" ~name:"" 0.0;
-                  None
-                | Some name ->
-                  Some (i, name, forward_traced rq (seq_of i), rq))
-              rqs
-          in
-          let by_slot = List.map (fun (i, _, _, rq) -> (i, rq)) items in
-          let outcomes =
-            Supervise.request_many_timed pool
-              (List.map (fun (i, key, line, _) -> (i, key, line)) items)
-          in
-          List.iter
-            (fun (slot, outcome, dur) ->
-              let rq = List.assoc slot by_slot in
-              let name =
-                Option.value ~default:"?" (member_str "name" rq.rq_body)
-              in
-              let shard = Supervise.shard_of pool name in
-              let graft wtree =
-                if tracing then
-                  Some
-                    (Reqtrace.graft ~shard
-                       ~roundtrip_ns:(Int64.of_float (dur *. 1e9))
-                       wtree)
-                else None
-              in
-              match outcome with
-              | Supervise.Reply l ->
-                let l, wtree = unstrip slot l in
-                responses.(slot) <- l;
-                note ?tree:(graft wtree) ~id:rq.rq_id ~op:"analyze" ~name dur
-              | Supervise.Deadline s ->
-                put slot (deadline_response rq.rq_id ~name s);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:"analyze" ~name dur
-              | Supervise.Lost d ->
-                put slot (worker_lost_response rq.rq_id ~name d);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:"analyze" ~name dur)
-            outcomes))
-    (group_requests lines);
   (* Resolve telemetry after the last fan-out: record every request's
      latency, then slow-log anything over threshold with its merged
      tree. One span dump serves the whole batch; dropping the spans
@@ -903,7 +854,7 @@ let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
     let spans = lazy (Obs.Probe.spans ()) in
     let threshold = Reqtrace.slow_ms () in
     List.iter
-      (fun rt ->
+      (fun (_, _, rt) ->
         Obs.Hist.observe "serve.request.ns"
           (int_of_float (rt.rt_dur_s *. 1e9));
         let ms = rt.rt_dur_s *. 1000.0 in
@@ -919,38 +870,59 @@ let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
           Reqtrace.note_slow ~id:rt.rt_id ~op:rt.rt_op ~name:rt.rt_name ~ms
             tree
         | _ -> ())
-      (List.rev !telemetry);
+      answers;
     Obs.Probe.reset_spans ()
   end;
+  let responses = Array.make n "" in
+  List.iter (fun (i, line, _) -> responses.(i) <- line) answers;
   Array.to_list responses
 
 (* ------------------------------------------------------------------ *)
-(* The single-client daemon loop (tests; embedded use). No signal
-   handling and no process exit: returns on EOF or [shutdown]. *)
+(* Carriers. *)
 
-let serve (ic : in_channel) (oc : out_channel) : unit =
-  Incr.install ();
-  Fun.protect
-    ~finally:(fun () -> Incr.uninstall ())
-    (fun () ->
-      let t = Transport.of_channels ic oc in
-      let stop = ref false in
-      let rec loop () =
-        if not !stop then
-          match t.Transport.read_batch () with
-          | None -> ()
-          | Some lines ->
-            t.Transport.write_lines (handle_batch stop lines);
-            (* Bound the daemon's memory: the fault log only ever holds
-               the current batch's faults. Store gauges are re-published
-               right after — a [metrics] call in the next batch must
-               never see the cache-size gauge missing because something
-               reset the probe tables. *)
-            Fault.reset ();
-            Incr.republish_gauges ();
-            loop ()
-      in
-      loop ())
+(* Error responses for raw lines that will not run: shed at admission,
+   or still queued when a drain began. *)
+let refuse (error : Json.t -> Json.t) (lines : string list) : string list =
+  List.map (fun line -> Json.to_compact_string (error (line_id line))) lines
+
+let shed_responses ~(queue_limit : int) (lines : string list) :
+    string list =
+  List.iter (fun _ -> Obs.Probe.count "serve.shed") lines;
+  refuse (overloaded_response ~queue_limit) lines
+
+(* Drain state shared by the carriers and [run]'s signal handlers: a
+   SIGTERM/SIGINT sets [drain], and carriers stop at the next batch
+   boundary; [in_batch] is true while a batch executes. *)
+let drain = ref false
+let in_batch = ref false
+
+(* The stdio carrier: one client, batches processed as they arrive.
+   Returns on EOF, after a [shutdown] batch, or at the first batch
+   boundary after a drain signal. Tests drive it directly; [run] adds
+   the signal handling and the exit. *)
+let serve ?(deadline_s : float option) ?(dispatcher = Local)
+    ?(queue_limit = max_int) (ic : in_channel) (oc : out_channel) : unit =
+  let t = Transport.of_channels ic oc in
+  let stop = ref false in
+  let rec loop () =
+    if not (!stop || !drain) then
+      match t.Transport.read_batch () with
+      | None -> ()
+      | Some lines ->
+        let n = List.length lines in
+        Obs.Probe.set_gauge "serve.queue_depth" (float_of_int n);
+        in_batch := true;
+        let responses =
+          if n > queue_limit then shed_responses ~queue_limit lines
+          else handle_batch ?deadline_s ~dispatcher stop lines
+        in
+        in_batch := false;
+        t.Transport.write_lines responses;
+        Obs.Probe.set_gauge "serve.queue_depth" 0.0;
+        after_batch ();
+        loop ()
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* The full daemon: [bin serve]. *)
@@ -967,28 +939,6 @@ type config = {
   c_slow_log : string option; (* NDJSON sink for slow entries *)
 }
 
-let default_config =
-  { c_socket = None; c_store = None; c_workers = 0; c_deadline_s = None;
-    c_queue_limit = 256; c_budget_bytes = Incr.default_budget;
-    c_jobs = Parallel.default_jobs (); c_slow_ms = None; c_slow_log = None }
-
-(* Degradation is cumulative across the daemon's whole life even though
-   the fault log resets per batch: any degraded batch turns the
-   eventual exit code to 3. *)
-let faults_total = ref 0
-
-let note_batch_faults () : unit =
-  let c = Fault.count () in
-  if c > 0 then begin
-    faults_total := !faults_total + c;
-    (* The summary is per-batch (the log resets); stream it to stderr
-       as it happens so the drain report is complete. *)
-    prerr_string (Fault.summary ());
-    flush stderr
-  end;
-  Fault.reset ();
-  Incr.republish_gauges ()
-
 let finalize_and_exit ~(dispatcher : dispatcher) () : 'a =
   (* Stop accepting; workers see EOF, take their final snapshot and
      exit — the blocking stop is the journal-flush barrier. *)
@@ -996,60 +946,11 @@ let finalize_and_exit ~(dispatcher : dispatcher) () : 'a =
   | Sharded pool -> Supervise.stop pool
   | Local -> ());
   Incr.close_store ();
-  note_batch_faults ();
+  after_batch ();
   if !faults_total > 0 then
     Printf.eprintf "serve: drained with %d recorded fault(s)\n%!"
       !faults_total;
   exit (if !faults_total > 0 then Fault.degraded_exit_code else 0)
-
-let shed_responses ~(queue_limit : int) (lines : string list) :
-    string list =
-  List.map
-    (fun line ->
-      Obs.Probe.count "serve.shed";
-      Json.to_compact_string
-        (overloaded_response (line_id line) ~queue_limit))
-    lines
-
-(* Channel carrier (stdin/stdout): one client, batches processed as
-   they arrive. A drain signal landing while idle (blocked in read)
-   finalizes directly from the handler; landing mid-batch it defers to
-   the post-batch check, honouring "finish the in-flight batch". *)
-let serve_channels ~(dispatcher : dispatcher) ?(deadline_s : float option)
-    ~(queue_limit : int) (ic : in_channel) (oc : out_channel) : 'a =
-  let t = Transport.of_channels ic oc in
-  let drain = ref false in
-  let processing = ref false in
-  let on_signal (_ : int) =
-    if !processing then drain := true
-    else finalize_and_exit ~dispatcher ()
-  in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  let stop = ref false in
-  let rec loop () =
-    if !stop || !drain then finalize_and_exit ~dispatcher ()
-    else
-      match t.Transport.read_batch () with
-      | None -> finalize_and_exit ~dispatcher ()
-      | Some lines ->
-        let n = List.length lines in
-        Obs.Probe.set_gauge "serve.queue_depth" (float_of_int n);
-        let responses =
-          if n > queue_limit then shed_responses ~queue_limit lines
-          else begin
-            processing := true;
-            let r = handle_batch ?deadline_s ~dispatcher stop lines in
-            processing := false;
-            r
-          end
-        in
-        t.Transport.write_lines responses;
-        Obs.Probe.set_gauge "serve.queue_depth" 0.0;
-        note_batch_faults ();
-        loop ()
-  in
-  loop ()
 
 (* Socket carrier: a select loop multiplexing the listener and every
    client connection. Completed batches queue for execution (bounded by
@@ -1059,7 +960,6 @@ let serve_channels ~(dispatcher : dispatcher) ?(deadline_s : float option)
 let serve_socket ~(dispatcher : dispatcher) ?(deadline_s : float option)
     ~(queue_limit : int) (path : string) : 'a =
   let listener = Transport.listen_unix path in
-  let drain = ref false in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> drain := true));
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -1089,11 +989,7 @@ let serve_socket ~(dispatcher : dispatcher) ?(deadline_s : float option)
     Queue.iter
       (fun (conn, lines) ->
         Transport.Conn.write_lines conn
-          (List.map
-             (fun line ->
-               Json.to_compact_string
-                 (plain_error (line_id line) "server is shutting down"))
-             lines))
+          (refuse (fun id -> plain_error id "server is shutting down") lines))
       pending;
     Hashtbl.iter (fun _ c -> Transport.Conn.close c) conns;
     (try Unix.close listener with Unix.Unix_error _ -> ());
@@ -1131,7 +1027,7 @@ let serve_socket ~(dispatcher : dispatcher) ?(deadline_s : float option)
       publish_depth ();
       let responses = handle_batch ?deadline_s ~dispatcher stop lines in
       Transport.Conn.write_lines conn responses;
-      note_batch_faults ()
+      after_batch ()
     end;
     loop ()
   in
@@ -1154,7 +1050,7 @@ let run (config : config) : 'a =
          routes, so it opens no store and must not spawn domains before
          the forks. The lazy [Parallel] pool guarantees this when [run]
          is the process entry point: the sharded paths never call
-         [Parallel.map]. The constraint is unforgiving — OCaml 5 refuses
+         [Parallel]. The constraint is unforgiving — OCaml 5 refuses
          [fork] in a process that has EVER spawned a domain, even after
          they are joined — so a hosting process that already fanned out
          cannot start a sharded server; [Supervise.start] will raise,
@@ -1172,8 +1068,7 @@ let run (config : config) : 'a =
             | Some dir ->
               ignore
                 (Incr.open_store
-                   (Filename.concat dir (Printf.sprintf "shard-%d" shard))));
-            Incr.install ())
+                   (Filename.concat dir (Printf.sprintf "shard-%d" shard)))))
           ~finalize:(fun ~shard:_ -> Incr.close_store ())
           ~handler:(handle_one_line ?deadline_s:config.c_deadline_s)
           ()
@@ -1192,7 +1087,6 @@ let run (config : config) : 'a =
           r.Incr.rs_restored
           (if r.Incr.rs_restored = 1 then "y" else "ies")
           dir);
-      Incr.install ();
       Local
     end
   in
@@ -1201,8 +1095,17 @@ let run (config : config) : 'a =
     serve_socket ~dispatcher ?deadline_s:config.c_deadline_s
       ~queue_limit:config.c_queue_limit path
   | None ->
-    serve_channels ~dispatcher ?deadline_s:config.c_deadline_s
-      ~queue_limit:config.c_queue_limit stdin stdout
+    (* A drain signal landing while idle (blocked in read) finalizes
+       directly from the handler; landing mid-batch it defers to the
+       batch boundary, honouring "finish the in-flight batch". *)
+    let on_signal (_ : int) =
+      if !in_batch then drain := true else finalize_and_exit ~dispatcher ()
+    in
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+    serve ~dispatcher ?deadline_s:config.c_deadline_s
+      ~queue_limit:config.c_queue_limit stdin stdout;
+    finalize_and_exit ~dispatcher ()
 
 (* ------------------------------------------------------------------ *)
 (* A scripting client for the socket carrier: forward stdin's batches

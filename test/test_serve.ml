@@ -15,7 +15,12 @@
      the session;
    - the control verbs: scores, invalidate, stats, resize, shutdown —
      including the rule that requests behind a shutdown in the same
-     batch are rejected. *)
+     batch are rejected;
+   - a whole session's bytes, against the committed golden transcript;
+   - a dead pool task and an oversized resize each cost one typed
+     error response, never the daemon;
+   - random sessions (QCheck): one JSON-object response per request
+     line, in order, id echoed. *)
 
 module Serve = Driver.Serve
 module Incr = Driver.Incr
@@ -524,6 +529,231 @@ let test_golden_transcript () =
       (List.length actual) (List.length expected) path
   end
 
+(* --- pool task deaths and pool bounds ---------------------------------- *)
+
+(* A pool task that dies outside its request's own capture — the
+   ["worker"] injection point, armed here for the second slot — must
+   degrade only that request, to a typed [worker]-stage fault, at any
+   jobs setting; its batch neighbours and the session carry on. *)
+let test_worker_death_is_one_fault () =
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Inject.disarm_all ();
+      Parallel.set_jobs 1;
+      Driver.Fault.reset ())
+    (fun () ->
+      Obs.Inject.arm ~key:"1" "worker";
+      List.iter
+        (fun jobs ->
+          Incr.clear ();
+          Parallel.set_jobs jobs;
+          match
+            run_session_dirty
+              [ analyze ~id:1 "w0" good_source;
+                analyze ~id:2 "w1" "int main() { return 2; }\n";
+                analyze ~id:3 "w2" "int main() { return 3; }\n"; "";
+                req [ ("id", Json.Num 4.); ("op", Json.Str "stats") ] ]
+          with
+          | [ a; b; c; st ] ->
+            let tag = Printf.sprintf " (jobs %d)" jobs in
+            Alcotest.(check bool) ("neighbours answered" ^ tag) true
+              (ok_of a && ok_of c);
+            Alcotest.(check bool) ("the dead task's request failed" ^ tag)
+              false (ok_of b);
+            Alcotest.(check bool) ("with its own id" ^ tag) true
+              (id_of b = Json.Num 2.);
+            let err =
+              match Json.member "error" b with
+              | Some e -> e
+              | None -> Alcotest.fail "no error object"
+            in
+            Alcotest.(check string) ("a worker-stage fault" ^ tag) "worker"
+              (str_field "stage" err);
+            Alcotest.(check string) ("naming the program" ^ tag) "w1"
+              (str_field "subject" err);
+            Alcotest.(check bool) ("the session keeps serving" ^ tag) true
+              (ok_of st)
+          | rs -> Alcotest.failf "expected 4 responses, got %d" (List.length rs))
+        [ 1; 2 ])
+
+(* A [resize] past what the runtime can spawn is refused with a typed
+   error and the old pool size is kept, so the next fan-out still
+   runs. *)
+let test_resize_past_the_domain_limit () =
+  let resize id jobs =
+    req [ ("id", Json.Num id); ("op", Json.Str "resize"); ("jobs", jobs) ]
+  in
+  match
+    run_session
+      [ resize 1. (Json.Num 100000.); resize 2. (Json.Num 1e300); "";
+        analyze ~id:3 "r1" good_source;
+        analyze ~id:4 "r2" "int main() { return 4; }\n"; "";
+        req [ ("id", Json.Num 5.); ("op", Json.Str "stats") ] ]
+  with
+  | [ big; huge; a; b; st ] ->
+    Alcotest.(check bool) "resize past the limit is refused" false
+      (ok_of big || ok_of huge);
+    Alcotest.(check bool) "the refusal names the limit" true
+      (let detail =
+         Option.bind (Json.member "error" big) (Json.member "detail")
+       in
+       match detail with
+       | Some (Json.Str d) ->
+         String.length d > 0
+         && String.ends_with
+              ~suffix:(string_of_int Parallel.max_jobs) d
+       | _ -> false);
+    Alcotest.(check bool) "the next batch still fans out" true
+      (ok_of a && ok_of b);
+    Alcotest.(check (float 0.)) "the old pool size is kept" 1.
+      (num_field "jobs" st)
+  | rs -> Alcotest.failf "expected 5 responses, got %d" (List.length rs)
+
+(* --- protocol fuzz -------------------------------------------------------- *)
+
+(* Random sessions — junk bytes, truncated requests, wrong field types,
+   huge ids, unknown ops, resize/shutdown, blank lines — split into
+   batches the way the carriers frame them and run through
+   [handle_batch]. Every request line of every batch the daemon reads
+   gets exactly one JSON-object response, in order, with [ok] set and
+   the id echoed whenever the line parsed; nothing escapes. *)
+let gen_session : string list QCheck.arbitrary =
+  let open QCheck.Gen in
+  let str s = Json.Str s in
+  let id =
+    oneof
+      [ map (fun i -> Json.Num (float_of_int i)) small_signed_int;
+        oneofl
+          [ Json.Num 1e308; Json.Num (-1e308); Json.Num 0.5; Json.Null;
+            Json.Bool true; str ""; str (String.make 300 'i');
+            str "\xc3\xa9\t\"quoted\"";
+            Json.Arr [ Json.Num 1.; Json.Null ];
+            Json.Obj [ ("nested", Json.Obj []) ] ] ]
+  in
+  let source =
+    oneofl
+      [ good_source; "int main() { return 7; }\n"; "int main( {"; "";
+        "int f(int n) { int s; s = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }\nint main() { return f(5); }\n" ]
+  in
+  let any_value =
+    oneofl
+      [ Json.Num 3.; Json.Num (-1.); str "x"; Json.Null; Json.Bool false;
+        Json.Arr [ str "smart" ]; Json.Arr [ Json.Num 1. ]; Json.Obj [] ]
+  in
+  let field name v = map (fun v -> Some (name, v)) v in
+  let maybe name v = oneof [ return None; field name v ] in
+  let obj parts =
+    flatten_l parts >|= fun fs ->
+    Json.to_compact_string (Json.Obj (List.filter_map Fun.id fs))
+  in
+  let op o = return (Some ("op", str o)) in
+  let named_op o =
+    obj [ maybe "id" id; op o; maybe "name" (oneofl [ str "p"; str "q" ]) ]
+  in
+  let valid =
+    frequency
+      [ ( 4,
+          obj
+            [ maybe "id" id; op "analyze";
+              field "name" (oneofl [ str "p"; str "q"; str "r" ]);
+              field "source" (map str source);
+              maybe "kinds"
+                (oneofl
+                   [ Json.Arr [ str "smart" ]; Json.Arr [ str "loop"; str "markov" ];
+                     Json.Arr [ str "bogus" ] ]);
+              maybe "runs"
+                (oneofl
+                   [ Json.Arr [ Json.Obj [ ("argv", Json.Arr []); ("input", str "") ] ];
+                     Json.Arr [ Json.Obj [ ("argv", Json.Arr [ Json.Num 1. ]) ] ] ]) ] );
+        (2, named_op "scores");
+        (1, named_op "invalidate");
+        (1, obj [ maybe "id" id; op "stats" ]);
+        (1, obj [ maybe "id" id; op "metrics" ]);
+        ( 1,
+          obj
+            [ maybe "id" id; op "resize";
+              maybe "jobs"
+                (oneofl
+                   [ Json.Num 0.; Json.Num 1.; Json.Num 2.; Json.Num 3.;
+                     Json.Num (-7.); Json.Num 1e6; Json.Num 1e300; str "2";
+                     Json.Null ]) ] );
+        (1, obj [ maybe "id" id; op "shutdown" ]) ]
+  in
+  let line =
+    frequency
+      [ (6, valid);
+        ( 2,
+          (* wrong field types *)
+          obj
+            [ maybe "id" id;
+              field "op"
+                (oneofl
+                   [ str "analyze"; str "scores"; str "invalidate";
+                     str "resize"; Json.Num 1.; Json.Null ]);
+              maybe "name" any_value; maybe "source" any_value;
+              maybe "kinds" any_value; maybe "runs" any_value;
+              maybe "jobs" any_value ] );
+        (1, obj [ maybe "id" id; field "op" (map str (string_size ~gen:printable (int_bound 8))) ]);
+        ( 2,
+          (* a valid request cut short *)
+          valid >>= fun l ->
+          int_bound (max 0 (String.length l - 1)) >|= fun n -> String.sub l 0 n );
+        ( 1,
+          (* junk bytes; a line never holds a newline *)
+          string_size ~gen:(map (fun c -> if c = '\n' then ' ' else c) char)
+            (int_range 1 40) );
+        (2, return "") ]
+  in
+  QCheck.make
+    ~print:(fun ls -> String.concat "\n" ls)
+    (list_size (int_range 1 14) line)
+
+(* The carriers' framing: a blank line closes a batch, empty batches are
+   skipped. *)
+let batches_of (lines : string list) : string list list =
+  let close acc cur = if cur = [] then acc else List.rev cur :: acc in
+  let acc, cur =
+    List.fold_left
+      (fun (acc, cur) l -> if l = "" then (close acc cur, []) else (acc, l :: cur))
+      ([], []) lines
+  in
+  List.rev (close acc cur)
+
+let prop_every_line_answered =
+  QCheck.Test.make ~name:"handle_batch answers every line of random sessions"
+    ~count:150 gen_session (fun lines ->
+      Incr.clear ();
+      let stop = ref false in
+      Fun.protect
+        ~finally:(fun () -> Parallel.set_jobs 1)
+        (fun () ->
+          List.for_all
+            (fun batch ->
+              !stop
+              ||
+              let responses = Serve.handle_batch stop batch in
+              Serve.after_batch ();
+              List.length responses = List.length batch
+              && List.for_all2
+                   (fun line resp ->
+                     let want_id =
+                       match Json.parse line with
+                       | Ok j -> Option.value ~default:Json.Null (Json.member "id" j)
+                       | Error _ -> Json.Null
+                     in
+                     match Json.parse resp with
+                     | Ok (Json.Obj _ as r) ->
+                       (match Json.member "ok" r with
+                       | Some (Json.Bool _) -> ()
+                       | _ -> QCheck.Test.fail_reportf "no ok field: %s" resp);
+                       if id_of r <> want_id then
+                         QCheck.Test.fail_reportf "id not echoed: %s -> %s" line
+                           resp;
+                       true
+                     | _ -> QCheck.Test.fail_reportf "not a JSON object: %S" resp)
+                   batch responses)
+            (batches_of lines)))
+
 let suite =
   [ Alcotest.test_case "warm analyze: program hit, identical scores"
       `Quick test_warm_analyze;
@@ -548,4 +778,9 @@ let suite =
     Alcotest.test_case "store gauge survives a probe reset (regression)"
       `Quick (with_probes test_gauge_republish_after_reset);
     Alcotest.test_case "golden transcript through the stdio loop" `Quick
-      test_golden_transcript ]
+      test_golden_transcript;
+    Alcotest.test_case "a dead pool task fails only its own request" `Quick
+      test_worker_death_is_one_fault;
+    Alcotest.test_case "resize past the domain limit is refused" `Quick
+      test_resize_past_the_domain_limit;
+    QCheck_alcotest.to_alcotest prop_every_line_answered ]
