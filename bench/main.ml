@@ -15,7 +15,6 @@
    Only the experiments:  dune exec bench/main.exe -- --repro-only
    Only profile bench:    dune exec bench/main.exe -- --profile-only
    Parallelism:           dune exec bench/main.exe -- --jobs 8
-   Back end:              dune exec bench/main.exe -- --interp-backend tree
    Observability:         dune exec bench/main.exe -- --trace
                           dune exec bench/main.exe -- --metrics-out FILE
    Fault policy:          dune exec bench/main.exe -- --strict
@@ -24,10 +23,11 @@
    Like bin/main.exe, a run that completes with recorded faults prints
    the fault summary to stderr and exits 3.
 
-   The profile-throughput section times the two interpreter back ends
-   (tree walker vs closure-compiled) over every (program, input) pair of
-   the suite at jobs 1 and jobs N, and writes the numbers to
-   BENCH_profile.json (path override: --profile-json FILE).
+   The profile-throughput section times the closure-compiled back end
+   that every profile runs on against the tree walker it is tested
+   against, over every (program, input) pair of the suite at jobs 1 and
+   jobs N, and writes the numbers to BENCH_profile.json (path override:
+   --profile-json FILE).
 
    --corpus sweeps the generated-corpus pipeline (generate + compile +
    profile + every estimator) over corpus size x jobs and writes
@@ -295,10 +295,21 @@ let run_profile_throughput (jobs : int) (json_path : string) =
       data
   in
   let reps = 3 in
+  (* The tree walker is the test oracle, not a production path, so it
+     is called directly; the compiled back end runs through [run_once]
+     like every profile the pipeline takes. *)
+  let run_backend backend c (r : Pipeline.run) =
+    match backend with
+    | `Tree ->
+      Cinterp.Eval.run ~argv:r.Pipeline.argv ~input:r.Pipeline.input
+        c.Pipeline.prog
+    | `Compiled -> Pipeline.run_once c r
+  in
+  let backend_to_string = function `Tree -> "tree" | `Compiled -> "compiled" in
   (* Best-of-[reps] wall clock for one full profiling sweep; the summed
      work units (executed instruction units) are identical across
      backends and jobs settings by construction. *)
-  let time_config (backend : Pipeline.backend) (j : int) : float * float =
+  let time_config backend (j : int) : float * float =
     Parallel.set_jobs j;
     let best = ref infinity in
     let work = ref 0.0 in
@@ -307,7 +318,7 @@ let run_profile_throughput (jobs : int) (json_path : string) =
       let works =
         Parallel.map
           (fun (c, r) ->
-            (Pipeline.run_once ~backend c r).Cinterp.Eval.work)
+            (run_backend backend c r).Cinterp.Eval.work)
           pairs
       in
       let dt = Unix.gettimeofday () -. t0 in
@@ -323,15 +334,15 @@ let run_profile_throughput (jobs : int) (json_path : string) =
      best of %d) ===\n\n"
     n_programs n_pairs reps;
   let configs =
-    [ (Pipeline.Tree, 1); (Pipeline.Tree, jobs);
-      (Pipeline.Compiled, 1); (Pipeline.Compiled, jobs) ]
+    [ (`Tree, 1); (`Tree, jobs);
+      (`Compiled, 1); (`Compiled, jobs) ]
   in
   let results =
     List.map
       (fun (backend, j) ->
         let seconds, work = time_config backend j in
         Printf.printf "  %-8s  --jobs %-2d   %8.3f s   %12.0f work units/s\n%!"
-          (Pipeline.backend_to_string backend)
+          (backend_to_string backend)
           j seconds (work /. seconds);
         (backend, j, seconds, work))
       configs
@@ -343,9 +354,9 @@ let run_profile_throughput (jobs : int) (json_path : string) =
     in
     s
   in
-  let speedup_1 = seconds_of Pipeline.Tree 1 /. seconds_of Pipeline.Compiled 1 in
+  let speedup_1 = seconds_of `Tree 1 /. seconds_of `Compiled 1 in
   let speedup_n =
-    seconds_of Pipeline.Tree jobs /. seconds_of Pipeline.Compiled jobs
+    seconds_of `Tree jobs /. seconds_of `Compiled jobs
   in
   Printf.printf "\n  compiled vs tree speedup:  %.2fx (--jobs 1), %.2fx (--jobs %d)\n\n"
     speedup_1 speedup_n jobs;
@@ -366,7 +377,7 @@ let run_profile_throughput (jobs : int) (json_path : string) =
         (Printf.sprintf
            "    { \"backend\": \"%s\", \"jobs\": %d, \"seconds\": %.6f, \
             \"work_units_per_s\": %.1f }%s\n"
-           (Pipeline.backend_to_string backend)
+           (backend_to_string backend)
            j seconds (work /. seconds)
            (if i = List.length results - 1 then "" else ",")))
     results;
@@ -933,120 +944,15 @@ let run_probe_overhead (json_path : string) =
   close_out oc;
   Printf.printf "  [probe overhead written to %s]\n\n" json_path
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let bench_only = List.mem "--bench-only" args in
-  let repro_only = List.mem "--repro-only" args in
-  let profile_only = List.mem "--profile-only" args in
-  let jobs =
-    let rec find = function
-      | "--jobs" :: n :: _ -> (
-        match int_of_string_opt n with
-        | Some j -> j
-        | None ->
-          Printf.eprintf "bench: --jobs expects an integer, got %S\n" n;
-          exit 2)
-      | _ :: rest -> find rest
-      | [] -> Parallel.default_jobs ()
-    in
-    find args
-  in
-  let trace = List.mem "--trace" args in
-  let metrics_out =
-    let rec find = function
-      | "--metrics-out" :: f :: _ -> Some f
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  (match
-     let rec find = function
-       | "--interp-backend" :: b :: _ -> Some b
-       | _ :: rest -> find rest
-       | [] -> None
-     in
-     find args
-   with
-  | None -> ()
-  | Some b -> (
-    match Pipeline.backend_of_string b with
-    | Some backend -> Pipeline.default_backend := backend
-    | None ->
-      Printf.eprintf "bench: --interp-backend expects tree or compiled, got %S\n" b;
-      exit 2));
-  let profile_json =
-    let rec find = function
-      | "--profile-json" :: f :: _ -> f
-      | _ :: rest -> find rest
-      | [] -> "BENCH_profile.json"
-    in
-    find args
-  in
-  let corpus_only = List.mem "--corpus" args in
-  let corpus_json =
-    let rec find = function
-      | "--corpus-json" :: f :: _ -> f
-      | _ :: rest -> find rest
-      | [] -> "BENCH_corpus.json"
-    in
-    find args
-  in
-  let incremental_only = List.mem "--incremental" args in
-  let incremental_json =
-    let rec find = function
-      | "--incremental-json" :: f :: _ -> f
-      | _ :: rest -> find rest
-      | [] -> "BENCH_incremental.json"
-    in
-    find args
-  in
-  let overhead_only = List.mem "--probe-overhead" args in
-  let overhead_json =
-    let rec find = function
-      | "--overhead-json" :: f :: _ -> f
-      | _ :: rest -> find rest
-      | [] -> "BENCH_overhead.json"
-    in
-    find args
-  in
-  let solver_only = List.mem "--solver-only" args in
-  let solver_json =
-    let rec find = function
-      | "--solver-json" :: f :: _ -> f
-      | _ :: rest -> find rest
-      | [] -> "BENCH_solver.json"
-    in
-    find args
-  in
-  (match
-     let rec find = function
-       | "--solver" :: m :: _ -> Some m
-       | _ :: rest -> find rest
-       | [] -> None
-     in
-     find args
-   with
-  | None -> ()
-  | Some m -> (
-    match Linalg.Linsolve.mode_of_string m with
-    | Some mode -> Linalg.Linsolve.solver_mode := mode
-    | None ->
-      Printf.eprintf
-        "bench: --solver expects dense, sparse or auto, got %S\n" m;
-      exit 2));
-  if List.mem "--strict" args then Driver.Fault.set_strict true;
-  (let rec find = function
-     | "--chaos" :: s :: _ -> (
-       match int_of_string_opt s with
-       | Some seed -> Driver.Fault.arm_chaos ~seed ()
-       | None ->
-         Printf.eprintf "bench: --chaos expects an integer seed, got %S\n" s;
-         exit 2)
-     | _ :: rest -> find rest
-     | [] -> ()
-   in
-   find args);
+(* ------------------------------------------------------------------ *)
+(* Command line. *)
+
+let run bench_only repro_only profile_only corpus_only incremental_only
+    overhead_only solver_only jobs solver strict chaos trace metrics_out
+    profile_json corpus_json incremental_json overhead_json solver_json =
+  Linalg.Linsolve.solver_mode := solver;
+  if strict then Driver.Fault.set_strict true;
+  Option.iter (fun seed -> Driver.Fault.arm_chaos ~seed ()) chaos;
   Parallel.set_jobs jobs;
   warn_single_core ();
   Driver.Trace.with_reporting ~trace ~metrics_out (fun () ->
@@ -1070,4 +976,74 @@ let () =
       end);
   let faults = Driver.Fault.summary () in
   if faults <> "" then prerr_string faults;
-  exit (Driver.Fault.exit_code ())
+  Driver.Fault.exit_code ()
+
+let () =
+  let open Cmdliner in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let json_path name default what =
+    Arg.(value & opt string default
+         & info [ name ] ~docv:"FILE"
+             ~doc:(Printf.sprintf "Where to write the %s JSON." what))
+  in
+  (* [--jobs] above the runtime's domain limit is a usage error; 0 and
+     below clamp to 1. *)
+  let jobs_conv =
+    let parse s =
+      Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+          if n > Parallel.max_jobs then
+            Error
+              (`Msg
+                (Printf.sprintf "%d jobs exceeds the limit of %d" n
+                   Parallel.max_jobs))
+          else Ok n)
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let term =
+    Term.(
+      const run
+      $ flag "bench-only" "Skip the reproduction; run only the timings."
+      $ flag "repro-only" "Run only the reproduction of every table and figure."
+      $ flag "profile-only"
+          "Run only the profile-throughput bench (tree walker vs compiled \
+           back end)."
+      $ flag "corpus" "Run only the corpus size x jobs throughput sweep."
+      $ flag "incremental"
+          "Run only the incremental-analysis bench (cold, warm, one-function \
+           edit, revert, warm restart)."
+      $ flag "probe-overhead" "Run only the telemetry overhead bench."
+      $ flag "solver-only" "Run only the dense vs sparse solver bench."
+      $ Arg.(value & opt jobs_conv (Parallel.default_jobs ())
+             & info [ "jobs" ] ~docv:"N" ~doc:"Number of analysis domains.")
+      $ Arg.(value
+             & opt
+                 (enum
+                    [ ("dense", Linalg.Linsolve.Dense);
+                      ("sparse", Linalg.Linsolve.Sparse);
+                      ("auto", Linalg.Linsolve.Auto) ])
+                 Linalg.Linsolve.Dense
+             & info [ "solver" ] ~docv:"MODE"
+                 ~doc:"Markov solver for the reproduction and throughput \
+                       sections: dense, sparse or auto.")
+      $ flag "strict" "Fail fast on the first fault instead of degrading."
+      $ Arg.(value & opt (some int) None
+             & info [ "chaos" ] ~docv:"SEED"
+                 ~doc:"Arm every fault-injection point with a hash of $(docv).")
+      $ flag "trace" "Print the span tree and counters to stderr at the end."
+      $ Arg.(value & opt (some string) None
+             & info [ "metrics-out" ] ~docv:"FILE"
+                 ~doc:"Write span timings and counters as JSON to $(docv).")
+      $ json_path "profile-json" "BENCH_profile.json" "profile-throughput"
+      $ json_path "corpus-json" "BENCH_corpus.json" "corpus sweep"
+      $ json_path "incremental-json" "BENCH_incremental.json"
+          "incremental bench"
+      $ json_path "overhead-json" "BENCH_overhead.json" "probe overhead"
+      $ json_path "solver-json" "BENCH_solver.json" "solver bench")
+  in
+  exit
+    (Cmd.eval'
+       (Cmd.v
+          (Cmd.info "bench"
+             ~doc:"Reproduce the paper's evaluation and time the pipeline")
+          term))

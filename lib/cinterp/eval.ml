@@ -3,7 +3,11 @@
    Executing the same CFG the estimators analyse gives exact basic-block,
    branch-outcome and call-site counts — the role played by gcc's
    instrumentation in the paper. Expressions are evaluated directly from
-   the typed AST carried in block instructions. *)
+   the typed AST carried in block instructions.
+
+   This walker is the reference semantics. Profiles are taken with the
+   closure-compiled [Compile]; test/test_compile.ml checks it against
+   this module. *)
 
 module Ast = Cfront.Ast
 module Cfg = Cfg_ir.Cfg

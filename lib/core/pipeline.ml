@@ -27,22 +27,6 @@ module Eval = Cinterp.Eval
 module Compile = Cinterp.Compile
 module Profile = Cinterp.Profile
 
-(* Interpreter back end used for profiling. [Tree] is the reference
-   AST-walking [Eval]; [Compiled] is the closure-compiled [Compile] back
-   end. Both produce bit-identical outcomes (test/test_compile.ml), so
-   the selector only affects speed. *)
-type backend = Tree | Compiled
-
-let backend_to_string = function Tree -> "tree" | Compiled -> "compiled"
-
-let backend_of_string = function
-  | "tree" -> Some Tree
-  | "compiled" -> Some Compiled
-  | _ -> None
-
-(* Process-wide default, set once from the CLI before any parallelism. *)
-let default_backend = ref Compiled
-
 type compiled = {
   name : string;
   source : string;
@@ -136,24 +120,15 @@ let fn_hash (c : compiled) (fn : Cfg.fn) : string =
 (* One profiling run: command-line arguments and stdin contents. *)
 type run = { argv : string list; input : string }
 
-let run_once ?fuel ?deadline_s ?backend (c : compiled) (r : run) :
-    Eval.outcome =
+let run_once ?fuel ?deadline_s (c : compiled) (r : run) : Eval.outcome =
   Obs.Probe.with_span "profile" (fun () ->
-      match
-        (match backend with Some b -> b | None -> !default_backend)
-      with
-      | Tree ->
-        Obs.Probe.count "interp.dispatch.tree";
-        Eval.run ?fuel ?deadline_s ~argv:r.argv ~input:r.input c.prog
-      | Compiled ->
-        Obs.Probe.count "interp.dispatch.compiled";
-        Compile.run ?fuel ?deadline_s ~argv:r.argv ~input:r.input
-          (closure_exe c))
+      Compile.run ?fuel ?deadline_s ~argv:r.argv ~input:r.input
+        (closure_exe c))
 
-let profile_runs ?fuel ?deadline_s ?backend (c : compiled)
+let profile_runs ?fuel ?deadline_s (c : compiled)
     (runs : run list) : Profile.t list =
   List.map
-    (fun r -> (run_once ?fuel ?deadline_s ?backend c r).Eval.profile)
+    (fun r -> (run_once ?fuel ?deadline_s c r).Eval.profile)
     runs
 
 (* ------------------------------------------------------------------ *)
@@ -201,19 +176,6 @@ let intra_freqs_fn (c : compiled) (kind : intra_kind) (fn : Cfg.fn) :
     Markov_intra.block_freqs_combined ~usage:(usage_of c fn)
       ~inject_key:c.name ~fallback:loop_fallback c.tc fn
 
-(* Per-function caching hook. [Driver.Incr.install] ([--incr-cache])
-   replaces the pass-through so every intra sweep in the process — suite
-   runs, experiments — is served from the content-addressed store; the
-   serve daemon needs no hook, [Incr.analyze] reads the store directly. Core cannot depend on Driver, hence the injection point. The
-   hook must either return [compute ()] or a bit-identical previous
-   return of an equivalent computation; [Incr] keys entries by function
-   content hash, solver mode and the [Config] fingerprint to guarantee
-   that. *)
-let intra_cache_hook :
-    (compiled -> intra_kind -> Cfg.fn -> (unit -> float array) -> float array)
-    ref =
-  ref (fun _ _ _ compute -> compute ())
-
 let intra_table (c : compiled) (kind : intra_kind) :
     (string, float array) Hashtbl.t =
   Obs.Probe.with_span ("intra." ^ intra_kind_to_string kind) (fun () ->
@@ -221,10 +183,7 @@ let intra_table (c : compiled) (kind : intra_kind) :
   let table = Hashtbl.create 32 in
   List.iter
     (fun fn ->
-      let freqs =
-        !intra_cache_hook c kind fn (fun () -> intra_freqs_fn c kind fn)
-      in
-      Hashtbl.replace table fn.Cfg.fn_name freqs)
+      Hashtbl.replace table fn.Cfg.fn_name (intra_freqs_fn c kind fn))
     c.prog.Cfg.prog_fns;
   table)
 

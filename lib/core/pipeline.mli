@@ -24,19 +24,6 @@ module Eval = Cinterp.Eval
 module Compile = Cinterp.Compile
 module Profile = Cinterp.Profile
 
-(** Interpreter back end used for profiling: the reference AST-walking
-    {!Eval} or the closure-compiled {!Compile}. The two are proven to
-    produce bit-identical outcomes (profiles, stdout, exit codes), so
-    the selector only affects speed. *)
-type backend = Tree | Compiled
-
-val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
-
-(** Process-wide default back end ([Compiled] unless overridden with
-    [--interp-backend]). Set it before spawning parallel work. *)
-val default_backend : backend ref
-
 (** A compiled program: typed AST, CFGs, call graph, plus lazily built
     shared state (closure-compiled executable, per-function usage memo).
     The mutable fields are lock-protected; the record may be shared
@@ -81,15 +68,14 @@ val fn_hash : compiled -> Cfg.fn -> string
 (** One profiling run: command-line arguments and stdin contents. *)
 type run = { argv : string list; input : string }
 
-(** Interpret the program once, collecting a profile. [backend] defaults
-    to {!default_backend}. [deadline_s] bounds the run's wall-clock time;
-    exceeding it (or [fuel]) raises {!Eval.Budget_exhausted} carrying
-    the partial outcome — a runaway run yields a partial profile, never
-    a hang. *)
+(** Interpret the program once with the closure-compiled {!Compile}
+    back end, collecting a profile. [deadline_s] bounds the run's
+    wall-clock time; exceeding it (or [fuel]) raises
+    {!Eval.Budget_exhausted} carrying the partial outcome — a runaway
+    run yields a partial profile, never a hang. *)
 val run_once :
   ?fuel:int ->
   ?deadline_s:float ->
-  ?backend:backend ->
   compiled ->
   run ->
   Eval.outcome
@@ -98,7 +84,6 @@ val run_once :
 val profile_runs :
   ?fuel:int ->
   ?deadline_s:float ->
-  ?backend:backend ->
   compiled ->
   run list ->
   Profile.t list
@@ -120,18 +105,8 @@ val all_intra_kinds : intra_kind list
 
 (** The block-frequency estimate of a single function — the unit of
     work the incremental store caches. {!intra_table} is one call per
-    defined function, routed through {!intra_cache_hook}. *)
+    defined function. *)
 val intra_freqs_fn : compiled -> intra_kind -> Cfg.fn -> float array
-
-(** Per-function caching hook, a pass-through by default.
-    [Driver.Incr.install] replaces it so every intra sweep in the
-    process is served from the content-addressed store (Core cannot
-    depend on Driver, hence the injection point). A replacement must
-    return either [compute ()] or a bit-identical earlier return of an
-    equivalent computation. *)
-val intra_cache_hook :
-  (compiled -> intra_kind -> Cfg.fn -> (unit -> float array) -> float array)
-  ref
 
 (** Per-function block-frequency arrays for every defined function. *)
 val intra_table : compiled -> intra_kind -> (string, float array) Hashtbl.t

@@ -102,7 +102,9 @@ let abandon k =
   Mutex.unlock m
 
 (* ------------------------------------------------------------------ *)
-(* The per-program pipeline stages. *)
+(* The per-program pipeline stages, shared with [Corpus_eval]. Callers
+   wrap each stage in their own [Fault.capture] with their own recovery
+   text. *)
 
 let drop_recovery = "program dropped from suite (degraded row)"
 
@@ -113,8 +115,7 @@ let compile_stage (bench : Suite.Bench_prog.t) : Pipeline.compiled =
   (* Lower to closures as part of the (parallel) compile stage, so the
      one-time cost is off the profiling path and spread across the
      domain pool during warm-up. *)
-  if !Pipeline.default_backend = Pipeline.Compiled then
-    ignore (Pipeline.closure_exe c);
+  ignore (Pipeline.closure_exe c);
   c
 
 let compile_entry (bench : Suite.Bench_prog.t) :
@@ -123,27 +124,28 @@ let compile_entry (bench : Suite.Bench_prog.t) :
     ~subject:bench.Suite.Bench_prog.name ~recovery:drop_recovery (fun () ->
       compile_stage bench)
 
-(* One (program, run) interpretation. Exhausting the fuel or wall-clock
-   budget is a *recoverable* fault: the partial profile is kept (both
-   back ends decrement fuel identically, so partial profiles stay
-   bit-identical across back ends) and the program stays healthy. *)
-let profile_stage (compiled : Pipeline.compiled) (run_index : int)
-    (r : Suite.Bench_prog.run) : Profile.t =
+(* One (program, run) interpretation under [fuel] (none by default).
+   Exhausting the fuel or wall-clock budget is a *recoverable* fault:
+   the partial profile is kept and the program stays healthy. Returns
+   the profile and whether the budget ran out — the corpus's divergence
+   marker. *)
+let profile_stage ?fuel (compiled : Pipeline.compiled) (run_index : int)
+    (r : Suite.Bench_prog.run) : Profile.t * bool =
   let name = compiled.Pipeline.name in
   Obs.Inject.fire "profile" ~key:name;
   let fuel =
     if Obs.Inject.should_fire "profile.fuel" ~key:name then
       Some injected_fuel
-    else None
+    else fuel
   in
   let run =
     { Pipeline.argv = r.Suite.Bench_prog.r_argv;
       input = r.Suite.Bench_prog.r_input }
   in
   match Pipeline.run_once ?fuel ~deadline_s:run_deadline_s compiled run with
-  | o -> o.Eval.profile
+  | o -> (o.Eval.profile, false)
   | exception Eval.Budget_exhausted (stop, outcome) ->
-    Obs.Probe.count "context.partial_profile";
+    Obs.Probe.count "profile.partial";
     Fault.record
       { Fault.f_stage = Fault.Profile; f_subject = name;
         f_detail =
@@ -151,14 +153,14 @@ let profile_stage (compiled : Pipeline.compiled) (run_index : int)
             (Eval.budget_stop_to_string stop);
         f_exn = ""; f_backtrace = "";
         f_recovery = "kept partial profile" };
-    outcome.Eval.profile
+    (outcome.Eval.profile, true)
 
 let profiles_entry (bench : Suite.Bench_prog.t)
     (compiled : Pipeline.compiled) : (Profile.t list, Fault.t) result =
   Fault.capture ~stage:Fault.Profile
     ~subject:bench.Suite.Bench_prog.name ~recovery:drop_recovery (fun () ->
       List.mapi
-        (fun i r -> profile_stage compiled i r)
+        (fun i r -> fst (profile_stage compiled i r))
         bench.Suite.Bench_prog.runs)
 
 let compute (bench : Suite.Bench_prog.t) : entry =
@@ -265,7 +267,8 @@ let warm () : unit =
                Fault.capture ~stage:Fault.Profile
                  ~subject:b.Suite.Bench_prog.name
                  ~detail:(Printf.sprintf "run %d" i)
-                 ~recovery:drop_recovery (fun () -> profile_stage c i r))
+                 ~recovery:drop_recovery (fun () ->
+                   fst (profile_stage c i r)))
              flat_runs)
       in
       (* Reassemble the flat profile list program by program, in run

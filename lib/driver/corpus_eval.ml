@@ -26,7 +26,6 @@
 
 module Pipeline = Core.Pipeline
 module Profile = Cinterp.Profile
-module Eval = Cinterp.Eval
 module Inter_simple = Core.Inter_simple
 module Weight_matching = Core.Weight_matching
 module Shape = Corpus.Shape
@@ -77,8 +76,9 @@ let estimator_labels : string list =
   @ List.map (fun k -> "inter." ^ Pipeline.inter_kind_to_string k) inter_kinds
 
 (* ------------------------------------------------------------------ *)
-(* Per-program pipeline stages — the [Context] stage structure, minus
-   the memo table (corpus programs are evaluated exactly once). *)
+(* Per-program evaluation: [Context]'s compile and profile stages under
+   the corpus fuel budget, minus the memo table (corpus programs are
+   evaluated exactly once), then the estimate stage. *)
 
 let drop_recovery = "program dropped from corpus (degraded row)"
 
@@ -103,42 +103,6 @@ let bench_of (spec : spec) (cls : Shape.workload_class) (index : int) :
       (List.map
          (fun (argv, input) -> Suite.Bench_prog.run ~argv ~input ())
          Genprog.runs)
-
-let compile_stage (bench : Suite.Bench_prog.t) : Pipeline.compiled =
-  let name = bench.Suite.Bench_prog.name in
-  Obs.Inject.fire "compile" ~key:name;
-  let c = Pipeline.compile ~name bench.Suite.Bench_prog.source in
-  if !Pipeline.default_backend = Pipeline.Compiled then
-    ignore (Pipeline.closure_exe c);
-  c
-
-(* One profiling run.  Returns the (possibly partial) profile and
-   whether the budget ran out — the divergence marker the attempt log
-   tracks per class. *)
-let profile_stage (compiled : Pipeline.compiled) (run_index : int)
-    (r : Suite.Bench_prog.run) : Profile.t * bool =
-  let name = compiled.Pipeline.name in
-  Obs.Inject.fire "profile" ~key:name;
-  let fuel =
-    if Obs.Inject.should_fire "profile.fuel" ~key:name then 10
-    else corpus_fuel
-  in
-  let run =
-    { Pipeline.argv = r.Suite.Bench_prog.r_argv;
-      input = r.Suite.Bench_prog.r_input }
-  in
-  match Pipeline.run_once ~fuel ~deadline_s:300.0 compiled run with
-  | o -> (o.Eval.profile, false)
-  | exception Eval.Budget_exhausted (stop, outcome) ->
-    Obs.Probe.count "corpus.partial_profile";
-    Fault.record
-      { Fault.f_stage = Fault.Profile; f_subject = name;
-        f_detail =
-          Printf.sprintf "run %d: %s budget exhausted" run_index
-            (Eval.budget_stop_to_string stop);
-        f_exn = ""; f_backtrace = "";
-        f_recovery = "kept partial profile" };
-    (outcome.Eval.profile, true)
 
 let estimate_stage (compiled : Pipeline.compiled)
     (profiles : Profile.t list) : cell list =
@@ -180,7 +144,7 @@ let eval_one (spec : spec) ((cls : Shape.workload_class), (index : int)) : row
   let cells =
     match
       Fault.capture ~stage:Fault.Compile ~subject:name
-        ~recovery:drop_recovery (fun () -> compile_stage bench)
+        ~recovery:drop_recovery (fun () -> Context.compile_stage bench)
     with
     | Error f -> Error f
     | Ok compiled -> (
@@ -189,7 +153,9 @@ let eval_one (spec : spec) ((cls : Shape.workload_class), (index : int)) : row
           ~recovery:drop_recovery (fun () ->
             List.mapi
               (fun i r ->
-                let p, d = profile_stage compiled i r in
+                let p, d =
+                  Context.profile_stage ~fuel:corpus_fuel compiled i r
+                in
                 if d then divergent := true;
                 p)
               bench.Suite.Bench_prog.runs)

@@ -22,10 +22,8 @@
    content, the live [Core.Config] knobs (the ablations mutate them)
    and the process-wide [Linsolve.solver_mode]; all three are in the
    key, so ablation sweeps and solver-matrix runs through the store
-   stay bit-identical to uncached runs — the CI drift gate holds that
-   line. Under an armed fault-injection plan ([Obs.Inject.armed]) the
-   hook bypasses the store entirely: chaos runs must re-execute every
-   estimate to fire the same injection points at the same sites.
+   stay bit-identical to uncached runs (test/test_incr.ml holds that
+   line).
 
    Eviction: least-recently-used by a global tick, with approximate
    byte accounting per entry. Eviction changes timings, never results —
@@ -55,7 +53,6 @@ type stats = {
   st_hits : int;
   st_misses : int;
   st_evictions : int;
-  st_bypasses : int;
   st_restored : int;        (* entries loaded from disk at last open *)
   st_journal_entries : int; (* entries appended since the last snapshot *)
   st_snapshots : int;       (* snapshots taken by this process *)
@@ -75,7 +72,6 @@ let clock = ref 0
 let hits = ref 0
 let misses = ref 0
 let evictions = ref 0
-let bypasses = ref 0
 let restored = ref 0
 
 (* The attached durable store, when [open_store] was called. All access
@@ -130,8 +126,7 @@ let reset_stats () : unit =
   locked (fun () ->
       hits := 0;
       misses := 0;
-      evictions := 0;
-      bypasses := 0)
+      evictions := 0)
 
 let stats () : stats =
   locked (fun () ->
@@ -141,7 +136,6 @@ let stats () : stats =
         st_hits = !hits;
         st_misses = !misses;
         st_evictions = !evictions;
-        st_bypasses = !bypasses;
         st_restored = !restored;
         st_journal_entries =
           (match !persist with
@@ -299,8 +293,8 @@ let profile_key ~(name : string) (source : string)
   "profile|" ^ source_digest ~name source ^ "|" ^ runs_digest runs
 
 (* ------------------------------------------------------------------ *)
-(* The Pipeline hook: every [intra_table] sweep in the process is
-   served from the store while installed. *)
+(* Per-function intra lookup: [analyze] serves every intra estimate
+   through the store. Returns the vector and whether it was a hit. *)
 
 let cached_intra (key : string) (compute : unit -> float array) :
     float array * bool =
@@ -310,18 +304,6 @@ let cached_intra (key : string) (compute : unit -> float array) :
     let a = compute () in
     add key (Intra a);
     (a, false)
-
-let hook (c : Pipeline.compiled) (kind : Pipeline.intra_kind) (fn : Cfg.fn)
-    (compute : unit -> float array) : float array =
-  if Obs.Inject.armed () then begin
-    locked (fun () ->
-        incr bypasses;
-        Obs.Probe.count "incr.bypass");
-    compute ()
-  end
-  else fst (cached_intra (intra_key c kind fn) compute)
-
-let install () : unit = Pipeline.intra_cache_hook := hook
 
 (* ------------------------------------------------------------------ *)
 (* Durable store attachment. [open_store dir] restores every valid

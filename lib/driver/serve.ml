@@ -459,7 +459,8 @@ let execute ?(deadline_s : float option) (stop : bool ref) (rq : request) :
            ("hits", num st.Incr.st_hits);
            ("misses", num st.Incr.st_misses);
            ("evictions", num st.Incr.st_evictions);
-           ("bypasses", num st.Incr.st_bypasses);
+           (* part of the stats wire format; always 0 *)
+           ("bypasses", num 0);
            ("restored", num st.Incr.st_restored);
            ("journal_entries", num st.Incr.st_journal_entries);
            ("snapshots", num st.Incr.st_snapshots);

@@ -23,4 +23,4 @@ val cores : unit -> int
 val common : unit -> (string * string) list
 (** The standard metadata block: [git_rev], [ocaml_version], [cores],
     [os], [word_size]. Callers append run-specific fields (jobs, seed,
-    backend, timestamp). *)
+    solver, timestamp). *)

@@ -1,6 +1,5 @@
-(* The differential-testing mini language, promoted from
-   test/test_differential.ml so other consumers (and future corpus
-   classes) can reuse it: int variables, assignments, arithmetic,
+(* The differential-testing mini language used by
+   test/test_differential.ml: int variables, assignments, arithmetic,
    if/while — rendered to C on one side and executed by an Int32
    reference interpreter on the other.  The semantics here are the
    *specification*; the C pipeline is the implementation under test. *)

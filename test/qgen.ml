@@ -1,5 +1,6 @@
-(* The backend-differential program generator, promoted from
-   test/test_compile.ml.  It leans into the pre-resolution surface:
+(* The backend-differential program generator of test/test_compile.ml,
+   which checks the compiled back end against the tree-walking oracle
+   on its programs.  It leans into the pre-resolution surface:
    array indexing, pointer arguments, helper calls (profiled call
    sites), doubles, globals, string output, switch and every loop form
    — with all divisions guarded so no generated program faults.  Loops

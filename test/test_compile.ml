@@ -17,18 +17,27 @@
 module Pipeline = Core.Pipeline
 module Profile = Cinterp.Profile
 module Eval = Cinterp.Eval
+module Compile = Cinterp.Compile
 module Value = Cinterp.Value
 module Cfg = Cfg_ir.Cfg
 
 let compile src = Pipeline.compile ~name:"t" src
 
+(* The two back ends under comparison, called directly: the tree
+   walker is the oracle, and production profiling runs the compiled
+   one. *)
+type backend = Tree | Compiled
+
 let run_with backend ?fuel ?deadline_s ?(argv = []) ?(input = "") c =
-  Pipeline.run_once ?fuel ?deadline_s ~backend c { Pipeline.argv; input }
+  match backend with
+  | Tree -> Eval.run ?fuel ?deadline_s ~argv ~input c.Pipeline.prog
+  | Compiled ->
+    Compile.run ?fuel ?deadline_s ~argv ~input (Pipeline.closure_exe c)
 
 (* Compare every observable of one run under both back ends. *)
 let check_identical name ?fuel ?argv ?input c =
-  let t = run_with Pipeline.Tree ?fuel ?argv ?input c in
-  let k = run_with Pipeline.Compiled ?fuel ?argv ?input c in
+  let t = run_with Tree ?fuel ?argv ?input c in
+  let k = run_with Compiled ?fuel ?argv ?input c in
   Alcotest.(check int) (name ^ ": exit code") t.Eval.exit_code k.Eval.exit_code;
   Alcotest.(check string)
     (name ^ ": stdout") t.Eval.stdout_text k.Eval.stdout_text;
@@ -98,8 +107,8 @@ let outcome_t =
 
 let check_same_error name ?fuel ?(expect : string option) src =
   let c = compile src in
-  let t = observe Pipeline.Tree ?fuel c in
-  let k = observe Pipeline.Compiled ?fuel c in
+  let t = observe Tree ?fuel c in
+  let k = observe Compiled ?fuel c in
   Alcotest.(check outcome_t) (name ^ ": same outcome") t k;
   match expect with
   | None ->
@@ -144,8 +153,8 @@ let test_fuel_limit () =
     | exception Eval.Budget_exhausted (Eval.Fuel, o) ->
       (o.Eval.stdout_text, Profile.save o.Eval.profile)
   in
-  let t_out, t_prof = partial Pipeline.Tree in
-  let k_out, k_prof = partial Pipeline.Compiled in
+  let t_out, t_prof = partial Tree in
+  let k_out, k_prof = partial Compiled in
   Alcotest.(check string) "partial stdout identical" t_out k_out;
   Alcotest.(check string) "partial profile bits identical" t_prof k_prof;
   Alcotest.(check bool) "partial profile is non-empty" true
@@ -167,7 +176,7 @@ let test_wall_clock_limit () =
       Profile.save o.Eval.profile
   in
   Alcotest.(check string) "partial profile bits identical"
-    (partial Pipeline.Tree) (partial Pipeline.Compiled)
+    (partial Tree) (partial Compiled)
 
 (* ------------------------------------------------------------------ *)
 (* Shared-state memos on the compiled record. *)
@@ -184,13 +193,12 @@ let test_memoization () =
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: generated programs agree under both back ends. The generator
-   ([Corpus.Qgen], promoted from this file) leans into the
-   pre-resolution surface: array indexing, pointer arguments, helper
-   calls (profiled call sites), doubles, globals, string output, switch
-   and every loop form — with all divisions guarded so no generated
-   program faults. *)
+   ([Qgen], test/qgen.ml) leans into the pre-resolution surface: array
+   indexing, pointer arguments, helper calls (profiled call sites),
+   doubles, globals, string output, switch and every loop form — with
+   all divisions guarded so no generated program faults. *)
 
-let gen_program = Corpus.Qgen.gen_program
+let gen_program = Qgen.gen_program
 
 (* Generated loops may diverge ([while (x > 0) { x--; x++; }]); a small
    fuel budget turns those into a [Budget_exhausted] stop whose partial
@@ -212,7 +220,7 @@ let prop_backends_identical =
                o.Eval.stdout_text
                (Profile.save o.Eval.profile))
       in
-      obs Pipeline.Tree = obs Pipeline.Compiled)
+      obs Tree = obs Compiled)
 
 let suite =
   [ Alcotest.test_case "suite-wide profile bit-identity" `Slow

@@ -14,7 +14,10 @@
      aggregate [Score] records, rendered tables and degradation lists
      at jobs 1 and jobs 4 — and under chaos the fault set is
      jobs-independent (the [test_fault] guarantee extended to the
-     corpus driver). *)
+     corpus driver);
+   - the profile stage shared with [Context]: a run that exhausts its
+     fuel keeps a partial profile, marks its row divergent and records
+     one Profile-stage fault and one [profile.partial] count. *)
 
 module Shape = Corpus.Shape
 module Genprog = Corpus.Genprog
@@ -263,6 +266,45 @@ let test_chaos_jobs_independent () =
   Alcotest.(check string) "same rendered tables" t1 t4;
   Alcotest.(check bool) "the chaos run recorded faults" true (f1 <> [])
 
+(* --- the shared profile stage under an exhausted budget -------------- *)
+
+(* [profile.fuel] armed once on one generated program: its first run
+   exhausts the injected budget, so the row is divergent, keeps its
+   partial profile (no degraded row) and leaves exactly one
+   Profile-stage fault and one [profile.partial] count. *)
+let test_fuel_partial_profile () =
+  let victim = Genprog.name Shape.Loop_nest 1 in
+  let was_enabled = Obs.Probe.enabled () in
+  Obs.Probe.set_enabled true;
+  Obs.Probe.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Probe.set_enabled was_enabled;
+      Obs.Probe.reset ())
+    (fun () ->
+      Inject.arm ~key:victim ~count:1 "profile.fuel";
+      let r =
+        Corpus_eval.evaluate
+          { Corpus_eval.c_seed = 1; c_per_class = 2; c_size = Shape.small;
+            c_classes = [ Shape.Loop_nest ] }
+      in
+      Alcotest.(check int) "one divergent row" 1 r.Corpus_eval.o_divergent;
+      Alcotest.(check (list (pair string string)))
+        "the partial profile keeps the row" [] r.Corpus_eval.o_degraded;
+      Alcotest.(check (list (list string)))
+        "one Profile-stage fault"
+        [ [ "profile"; victim; "run 0: fuel budget exhausted";
+            "kept partial profile" ] ]
+        (List.map
+           (fun (f : Fault.t) ->
+             [ Fault.stage_to_string f.Fault.f_stage; f.Fault.f_subject;
+               f.Fault.f_detail; f.Fault.f_recovery ])
+           (Fault.sorted ()));
+      Alcotest.(check int) "profile.partial counted once" 1
+        (match List.assoc_opt "profile.partial" (Obs.Probe.counters ()) with
+        | Some c -> c.Obs.Probe.hits
+        | None -> 0))
+
 let suite =
   [ Alcotest.test_case "quantile: empty series faults and renders —" `Quick
       (shielded test_quantile_empty);
@@ -287,4 +329,6 @@ let suite =
     Alcotest.test_case "aggregate records bit-identical at jobs 1 and 4"
       `Slow (shielded test_jobs_invariance);
     Alcotest.test_case "chaos fault set is jobs-independent" `Slow
-      (shielded test_chaos_jobs_independent) ]
+      (shielded test_chaos_jobs_independent);
+    Alcotest.test_case "exhausted fuel keeps a partial profile" `Quick
+      (shielded test_fuel_partial_profile) ]

@@ -6,11 +6,11 @@
    interpreter — against an independent executable specification.
 
    The mini language, its C renderer, the reference interpreter and the
-   generator live in [Corpus.Mini] (promoted there so corpus tooling can
-   reuse them); this file owns only the properties. *)
+   generator live in [Mini] (test/mini.ml); this file owns only the
+   properties. *)
 
 module Pipeline = Core.Pipeline
-open Corpus.Mini
+open Mini
 
 let prop_differential =
   QCheck.Test.make ~name:"whole pipeline matches the reference interpreter"

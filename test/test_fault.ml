@@ -74,7 +74,21 @@ let exercise_points (jobs : int) () =
   Inject.arm ~key:"queens_mini" "compile";
   Inject.arm ~key:"tree_mini" "profile";
   Inject.arm ~key:"life_mini" "profile.fuel";
-  let entries = Context.all_entries () in
+  let was_enabled = Obs.Probe.enabled () in
+  Obs.Probe.set_enabled true;
+  Obs.Probe.reset ();
+  let entries, partial_hits =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Probe.set_enabled was_enabled;
+        Obs.Probe.reset ())
+      (fun () ->
+        let entries = Context.all_entries () in
+        ( entries,
+          match List.assoc_opt "profile.partial" (Obs.Probe.counters ()) with
+          | Some c -> c.Obs.Probe.hits
+          | None -> 0 ))
+  in
   Alcotest.(check int) "every program reported"
     (List.length Suite.Registry.all)
     (List.length entries);
@@ -101,6 +115,9 @@ let exercise_points (jobs : int) () =
          f.Fault.f_subject = "life_mini"
          && f.Fault.f_recovery = "kept partial profile")
        (Fault.sorted ()));
+  Alcotest.(check int) "profile.partial counts every exhausted run"
+    (Suite.Bench_prog.n_runs (Option.get (Suite.Registry.find "life_mini")))
+    partial_hits;
   Alcotest.(check int) "degraded run exits 3" Fault.degraded_exit_code
     (Fault.exit_code ());
   let t1 = run_exp "table1" in
