@@ -26,7 +26,8 @@
    The profile-throughput section times the closure-compiled back end
    that every profile runs on against the tree walker it is tested
    against, over every (program, input) pair of the suite at jobs 1 and
-   jobs N, and writes the numbers to BENCH_profile.json (path override:
+   jobs N, with the minor-heap words each allocates per work unit, and
+   writes the numbers to BENCH_profile.json (path override:
    --profile-json FILE).
 
    --corpus sweeps the generated-corpus pipeline (generate + compile +
@@ -207,7 +208,8 @@ let run_suite_throughput (jobs : int) =
    closures happens once, outside the timed region — that is the
    deployment model (compile once, profile many inputs). The differential
    suite in [test/test_compile.ml] proves the two back ends produce
-   bit-identical profiles, so this section only reports wall-clock. *)
+   bit-identical profiles, so this section only reports wall-clock and
+   allocation. *)
 
 (* One core means the domain pool can only time-slice: parallel configs
    measure scheduling overhead, not speedup. Say so once on stderr and
@@ -308,24 +310,30 @@ let run_profile_throughput (jobs : int) (json_path : string) =
   let backend_to_string = function `Tree -> "tree" | `Compiled -> "compiled" in
   (* Best-of-[reps] wall clock for one full profiling sweep; the summed
      work units (executed instruction units) are identical across
-     backends and jobs settings by construction. *)
-  let time_config backend (j : int) : float * float =
+     backends and jobs settings by construction. Each run also counts the
+     minor-heap words its domain allocated, the machine-independent
+     companion of the timing. *)
+  let time_config backend (j : int) : float * float * float =
     Parallel.set_jobs j;
     let best = ref infinity in
     let work = ref 0.0 in
+    let words = ref 0.0 in
     for _ = 1 to reps do
       let t0 = Unix.gettimeofday () in
-      let works =
+      let costs =
         Parallel.map
           (fun (c, r) ->
-            (run_backend backend c r).Cinterp.Eval.work)
+            let w0 = Gc.minor_words () in
+            let units = (run_backend backend c r).Cinterp.Eval.work in
+            (units, Gc.minor_words () -. w0))
           pairs
       in
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt;
-      work := List.fold_left ( +. ) 0.0 works
+      work := List.fold_left (fun acc (u, _) -> acc +. u) 0.0 costs;
+      words := List.fold_left (fun acc (_, w) -> acc +. w) 0.0 costs
     done;
-    (!best, !work)
+    (!best, !work, !words /. !work)
   in
   let n_programs = List.length data in
   let n_pairs = List.length pairs in
@@ -340,17 +348,19 @@ let run_profile_throughput (jobs : int) (json_path : string) =
   let results =
     List.map
       (fun (backend, j) ->
-        let seconds, work = time_config backend j in
-        Printf.printf "  %-8s  --jobs %-2d   %8.3f s   %12.0f work units/s\n%!"
+        let seconds, work, words_per_unit = time_config backend j in
+        Printf.printf
+          "  %-8s  --jobs %-2d   %8.3f s   %12.0f work units/s   %6.2f \
+           words/unit\n%!"
           (backend_to_string backend)
-          j seconds (work /. seconds);
-        (backend, j, seconds, work))
+          j seconds (work /. seconds) words_per_unit;
+        (backend, j, seconds, work, words_per_unit))
       configs
   in
   Parallel.set_jobs jobs;
   let seconds_of b j =
-    let _, _, s, _ =
-      List.find (fun (b', j', _, _) -> b' = b && j' = j) results
+    let _, _, s, _, _ =
+      List.find (fun (b', j', _, _, _) -> b' = b && j' = j) results
     in
     s
   in
@@ -360,7 +370,7 @@ let run_profile_throughput (jobs : int) (json_path : string) =
   in
   Printf.printf "\n  compiled vs tree speedup:  %.2fx (--jobs 1), %.2fx (--jobs %d)\n\n"
     speedup_1 speedup_n jobs;
-  let _, _, _, work_units = List.hd results in
+  let _, _, _, work_units, _ = List.hd results in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -372,13 +382,13 @@ let run_profile_throughput (jobs : int) (json_path : string) =
   Buffer.add_string buf (Printf.sprintf "  \"work_units\": %.0f,\n" work_units);
   Buffer.add_string buf "  \"configs\": [\n";
   List.iteri
-    (fun i (backend, j, seconds, work) ->
+    (fun i (backend, j, seconds, work, words_per_unit) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    { \"backend\": \"%s\", \"jobs\": %d, \"seconds\": %.6f, \
-            \"work_units_per_s\": %.1f }%s\n"
+            \"work_units_per_s\": %.1f, \"minor_words_per_unit\": %.3f }%s\n"
            (backend_to_string backend)
-           j seconds (work /. seconds)
+           j seconds (work /. seconds) words_per_unit
            (if i = List.length results - 1 then "" else ",")))
     results;
   Buffer.add_string buf "  ],\n";

@@ -20,16 +20,35 @@
      in first-execution order, so the block store evolves exactly as under
      [Eval]);
    - direct call targets and builtin dispatch are looked up ahead of time,
-     and each call site carries its profile counter index;
-   - branch and switch terminators are specialized, so the profiling hot
-     loop is closure application plus counter bumps.
+     and each call site carries its profile counter index.
+
+   The hot loop allocates as little as the boxed value model allows:
+
+   - [int]/[char] operators run on unboxed OCaml ints ([compile_int],
+     [icode]); branch conditions compile to [bool] tests, index and
+     switch operands to ints. Values are boxed once, where they are
+     stored, passed or returned. A cell typed [int] may still hold a
+     pointer or float stored through a cast, so loads stay boxed and each
+     consumer converts them exactly where [Eval] does;
+   - [a[i]], [s.f] and [p->f] are read and written through
+     [Memory.load_at]/[store_at] from the base pointer, without building
+     the offset pointer;
+   - a call passes its arguments in an array, and blocks run in a
+     top-level recursion, so a call allocates no list and no closure;
+   - a returned call's locals are replaced in the store by one dead
+     record per local declaration, shared by every activation
+     ([c_local_dead]); dead and freed blocks keep no cells;
+   - work units are not summed per block: every block subtracts its cost
+     from fuel and [Eval] adds the same cost to work, so [run] sets work
+     to the fuel spent.
 
    The contract with [Eval] is strict: identical evaluation order,
    identical diagnostics (the [Value.Runtime_error] messages are the
    same), identical memory-block allocation order (block ids are
    observable through pointer comparisons), and therefore bit-identical
    [Profile.t] counters. [test/test_compile.ml] enforces this
-   differentially over the whole suite. *)
+   differentially over the whole suite and generated programs, and
+   checks every profile against [Profile.conservation_violations]. *)
 
 module Ast = Cfront.Ast
 module Cfg = Cfg_ir.Cfg
@@ -57,24 +76,36 @@ type state = {
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
 }
 
-type frame = { locals : Value.ptr array }
+type frame = Value.ptr array (* the current call's locals, by slot *)
+
+let null_ptr = { Value.blk = -1; off = 0 }
 
 type ev = state -> frame -> Value.value   (* compiled expression *)
 type lv = state -> frame -> Value.ptr     (* compiled lvalue *)
+type ie = state -> frame -> int           (* compiled unboxed integer *)
+type test = state -> frame -> bool        (* compiled truth value *)
+
+(* An [int]/[char]-typed expression compiled for a consumer that wants an
+   integer. [Inode] is an operator evaluated without boxing its operands
+   or its result; it returns [n] exactly when the boxed closure would
+   return [Vint n], with the same effects and errors. Anything else stays
+   an [Ibox]: a cell typed [int] can still hold a pointer or a float
+   stored through a cast, so a load is converted by its consumer, at the
+   point where the boxed code would convert it. *)
+type icode = Iconst of int | Inode of ie | Ibox of ev
 
 (* ------------------------------------------------------------------ *)
 (* Compiled program representation. *)
 
 type cterm =
   | Cjump of int
-  | Cbranch of ev * int * int
-  | Cswitch of ev * (int, int) Hashtbl.t * int
+  | Cbranch of test * int * int
+  | Cswitch of ie * (int, int) Hashtbl.t * int
   | Creturn of ev
 
 type cblock = {
   cb_instrs : (state -> frame -> unit) array;
   cb_cost : int;            (* 1 + number of instructions (fuel units) *)
-  cb_costf : float;         (* same, as the work-counter increment *)
   cb_term : cterm;
 }
 
@@ -85,6 +116,7 @@ type cfn = {
   mutable c_blocks : cblock array;      (* patched in phase 2 *)
   c_local_sizes : int array;
   c_local_tags : string array;
+  c_local_dead : Memory.block array;    (* shared by every activation *)
   c_bind_params : (state -> frame -> Value.value -> unit) array;
   c_coerce_ret : Value.value -> Value.value;
 }
@@ -116,66 +148,215 @@ let intern_rt (st : state) (s : string) : Value.ptr =
 
 let truthy = Value.to_bool
 
-(* The profiling hot loop: closure application plus counter bumps. *)
-let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
-    (counters : Profile.fn_counters) (start : int) : Value.value =
-  let blocks = cf.c_blocks in
+(* The profiling hot loop: closure application plus counter bumps. A
+   top-level recursion, so a call allocates no loop closure. *)
+let rec exec_blocks (st : state) (fr : frame) (blocks : cblock array)
+    (counters : Profile.fn_counters) (bid : int) : Value.value =
+  if st.fuel <= 0 then raise Eval.Out_of_fuel;
+  st.clock_tick <- st.clock_tick - 1;
+  if st.clock_tick <= 0 then begin
+    st.clock_tick <- Eval.clock_check_interval;
+    if Unix.gettimeofday () >= st.deadline then raise Eval.Out_of_wall_clock
+  end;
+  let blk = blocks.(bid) in
   let bc = counters.Profile.block_counts in
-  let bt = counters.Profile.branch_taken in
-  let bnt = counters.Profile.branch_not_taken in
-  let profile = st.profile in
-  let rec run bid : Value.value =
-    if st.fuel <= 0 then raise Eval.Out_of_fuel;
-    st.clock_tick <- st.clock_tick - 1;
-    if st.clock_tick <= 0 then begin
-      st.clock_tick <- Eval.clock_check_interval;
-      if Unix.gettimeofday () >= st.deadline then
-        raise Eval.Out_of_wall_clock
-    end;
-    let blk = blocks.(bid) in
-    bc.(bid) <- bc.(bid) +. 1.0;
-    st.fuel <- st.fuel - blk.cb_cost;
-    profile.Profile.work <- profile.Profile.work +. blk.cb_costf;
-    let instrs = blk.cb_instrs in
-    for i = 0 to Array.length instrs - 1 do
-      instrs.(i) st fr
-    done;
-    match blk.cb_term with
-    | Cjump next -> run next
-    | Cbranch (cond, t, f) ->
-      if truthy (cond st fr) then begin
-        bt.(bid) <- bt.(bid) +. 1.0;
-        run t
-      end
-      else begin
-        bnt.(bid) <- bnt.(bid) +. 1.0;
-        run f
-      end
-    | Cswitch (scrutinee, table, default) ->
-      let v = Value.int_of (scrutinee st fr) in
-      run
-        (match Hashtbl.find_opt table v with
-        | Some t -> t
-        | None -> default)
-    | Creturn e -> e st fr
-  in
-  run start
+  bc.(bid) <- bc.(bid) +. 1.0;
+  st.fuel <- st.fuel - blk.cb_cost;
+  let instrs = blk.cb_instrs in
+  for i = 0 to Array.length instrs - 1 do
+    instrs.(i) st fr
+  done;
+  match blk.cb_term with
+  | Cjump next -> exec_blocks st fr blocks counters next
+  | Cbranch (cond, t, f) ->
+    if cond st fr then begin
+      let bt = counters.Profile.branch_taken in
+      bt.(bid) <- bt.(bid) +. 1.0;
+      exec_blocks st fr blocks counters t
+    end
+    else begin
+      let bnt = counters.Profile.branch_not_taken in
+      bnt.(bid) <- bnt.(bid) +. 1.0;
+      exec_blocks st fr blocks counters f
+    end
+  | Cswitch (scrutinee, table, default) ->
+    let v = scrutinee st fr in
+    exec_blocks st fr blocks counters
+      (match Hashtbl.find table v with t -> t | exception Not_found -> default)
+  | Creturn e -> e st fr
 
 (* Mirror of [Eval.exec_fn]: allocate locals (same order, same tags),
    bind parameters, run the blocks, kill the locals, coerce the result. *)
-and call_fn (st : state) (cf : cfn) (args : Value.value list) : Value.value =
+and call_fn (st : state) (cf : cfn) (args : Value.value array) : Value.value =
   let n = Array.length cf.c_local_sizes in
-  let locals = Array.make n { Value.blk = -1; off = 0 } in
+  let fr = Array.make n null_ptr in
   for i = 0 to n - 1 do
-    locals.(i) <-
-      Memory.alloc st.mem cf.c_local_sizes.(i) ~tag:cf.c_local_tags.(i)
+    fr.(i) <- Memory.alloc st.mem cf.c_local_sizes.(i) ~tag:cf.c_local_tags.(i)
   done;
-  let fr = { locals } in
-  List.iteri (fun i v -> cf.c_bind_params.(i) st fr v) args;
-  let counters = st.fcounters.(cf.c_index) in
-  let result = exec_blocks st fr cf counters cf.c_entry in
-  Array.iter (fun p -> Memory.kill st.mem p) locals;
+  for i = 0 to Array.length args - 1 do
+    cf.c_bind_params.(i) st fr args.(i)
+  done;
+  let result =
+    exec_blocks st fr cf.c_blocks st.fcounters.(cf.c_index) cf.c_entry
+  in
+  for i = 0 to n - 1 do
+    Memory.kill st.mem fr.(i) cf.c_local_dead.(i)
+  done;
   cf.c_coerce_ret result
+
+(* Evaluate call arguments left to right into a fresh array; the common
+   arities build it inline. *)
+let args_evaluator (cargs : ev array) : state -> frame -> Value.value array =
+  match cargs with
+  | [||] -> fun _ _ -> [||]
+  | [| a |] -> fun st fr -> [| a st fr |]
+  | [| a; b |] ->
+    fun st fr ->
+      let x = a st fr in
+      let y = b st fr in
+      [| x; y |]
+  | [| a; b; c |] ->
+    fun st fr ->
+      let x = a st fr in
+      let y = b st fr in
+      let z = c st fr in
+      [| x; y; z |]
+  | _ ->
+    fun st fr ->
+      let out = Array.make (Array.length cargs) (Value.Vint 0) in
+      Array.iteri (fun i f -> out.(i) <- f st fr) cargs;
+      out
+
+(* ------------------------------------------------------------------ *)
+(* Unboxed integer operators. *)
+
+let boxed_of_icode : icode -> ev = function
+  | Iconst n ->
+    let v = Value.Vint n in
+    fun _ _ -> v
+  | Inode f -> fun st fr -> Value.Vint (f st fr)
+  | Ibox e -> e
+
+(* [Value.int_of] of the expression's value. *)
+let int_of_icode : icode -> ie = function
+  | Iconst n -> fun _ _ -> n
+  | Inode f -> f
+  | Ibox e -> fun st fr -> Value.int_of (e st fr)
+
+let test_of_icode : icode -> test = function
+  | Iconst n ->
+    let b = n <> 0 in
+    fun _ _ -> b
+  | Inode f -> fun st fr -> f st fr <> 0
+  | Ibox e -> fun st fr -> truthy (e st fr)
+
+(* [Eval.apply_binop] on two integer operands (no float context, no
+   pointer arithmetic), for the operators that yield an integer. *)
+let int_arith : Ast.binop -> int -> int -> int = function
+  | Ast.Badd -> fun x y -> Value.wrap32 (x + y)
+  | Ast.Bsub -> fun x y -> Value.wrap32 (x - y)
+  | Ast.Bmul -> fun x y -> Value.wrap32 (x * y)
+  | Ast.Bdiv ->
+    fun x y ->
+      if y = 0 then Value.error "division by zero";
+      Value.wrap32 (x / y)
+  | Ast.Bmod ->
+    fun x y ->
+      if y = 0 then Value.error "modulo by zero";
+      Value.wrap32 (x mod y)
+  | Ast.Bshl -> fun x y -> Value.wrap32 (x lsl (y land 31))
+  | Ast.Bshr -> fun x y -> Value.wrap32 (x asr (y land 31))
+  | Ast.Bband -> fun x y -> Value.wrap32 (x land y)
+  | Ast.Bbor -> fun x y -> Value.wrap32 (x lor y)
+  | Ast.Bbxor -> fun x y -> Value.wrap32 (x lxor y)
+  | _ -> invalid_arg "Compile.int_arith"
+
+let int_compare : Ast.binop -> int -> int -> bool = function
+  | Ast.Blt -> fun (x : int) y -> x < y
+  | Ast.Bgt -> fun (x : int) y -> x > y
+  | Ast.Ble -> fun (x : int) y -> x <= y
+  | Ast.Bge -> fun (x : int) y -> x >= y
+  | Ast.Beq -> fun (x : int) y -> x = y
+  | Ast.Bne -> fun (x : int) y -> x <> y
+  | _ -> invalid_arg "Compile.int_compare"
+
+(* [Eval.apply_binop]'s comparisons on boxed values, as a truth value. *)
+let compare_values ~(float_ctx : bool) :
+    Ast.binop -> Value.value -> Value.value -> bool = function
+  | Ast.Blt -> Eval.ordered ~float_ctx (fun c z -> c < z)
+  | Ast.Bgt -> Eval.ordered ~float_ctx (fun c z -> c > z)
+  | Ast.Ble -> Eval.ordered ~float_ctx (fun c z -> c <= z)
+  | Ast.Bge -> Eval.ordered ~float_ctx (fun c z -> c >= z)
+  | Ast.Beq -> Value.equal_values
+  | Ast.Bne -> fun va vb -> not (Value.equal_values va vb)
+  | _ -> invalid_arg "Compile.compare_values"
+
+(* A binary operator on a boxed left value and an integer operand, the
+   operand evaluated after the value: [fast] when both are [Vint],
+   [slow] on the boxed values otherwise. *)
+let lift2v (fast : int -> int -> 'r)
+    (slow : Value.value -> Value.value -> 'r) (b : icode) :
+    Value.value -> state -> frame -> 'r =
+  match b with
+  | Iconst y ->
+    let vy = Value.Vint y in
+    fun va _ _ ->
+      (match va with Value.Vint x -> fast x y | _ -> slow va vy)
+  | Inode fb ->
+    fun va st fr ->
+      let y = fb st fr in
+      (match va with
+      | Value.Vint x -> fast x y
+      | _ -> slow va (Value.Vint y))
+  | Ibox cb ->
+    fun va st fr ->
+      let vb = cb st fr in
+      (match (va, vb) with
+      | Value.Vint x, Value.Vint y -> fast x y
+      | _ -> slow va vb)
+
+(* The same with both operands compiled, evaluated left to right. *)
+let lift2 (fast : int -> int -> 'r)
+    (slow : Value.value -> Value.value -> 'r) (a : icode) (b : icode) :
+    state -> frame -> 'r =
+  match (a, b) with
+  | Ibox ca, Ibox cb ->
+    fun st fr ->
+      let va = ca st fr in
+      let vb = cb st fr in
+      (match (va, vb) with
+      | Value.Vint x, Value.Vint y -> fast x y
+      | _ -> slow va vb)
+  | Ibox ca, _ ->
+    let k = lift2v fast slow b in
+    fun st fr -> k (ca st fr) st fr
+  | (Iconst _ | Inode _), (Iconst _ | Inode _) ->
+    let fa = int_of_icode a in
+    let fb = int_of_icode b in
+    fun st fr ->
+      let x = fa st fr in
+      fast x (fb st fr)
+  | (Iconst _ | Inode _), Ibox cb ->
+    let fa = int_of_icode a in
+    fun st fr ->
+      let x = fa st fr in
+      (match cb st fr with
+      | Value.Vint y -> fast x y
+      | vb -> slow (Value.Vint x) vb)
+
+(* An lvalue as a base address plus a cell offset (see [compile_place]). *)
+type place =
+  | Pfield of lv * int            (* base + constant offset *)
+  | Pindex of lv * ie * int       (* base + index * element size *)
+
+let lv_of_place : place -> lv = function
+  | Pfield (base, 0) -> base
+  | Pfield (base, off) -> fun st fr -> Memory.offset (base st fr) off
+  | Pindex (base, idx, scale) ->
+    fun st fr ->
+      let b = base st fr in
+      let ix = idx st fr in
+      Memory.offset b (ix * scale)
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time environment. *)
@@ -264,15 +445,20 @@ let rec compile_expr (env : cenv) (e : Ast.expr) : ev =
         Value.Vptr p
     end
   | Ast.Ident _ -> compile_ident env e
+  | Ast.Binop _ | Ast.Unop ((Ast.Unot | Ast.Ubnot | Ast.Uneg), _)
+    when Ctypes.is_integer (ty_of env e) ->
+    boxed_of_icode (compile_int env e)
   | Ast.Unop (op, a) -> compile_unop env op a
   | Ast.Binop (op, a, b) -> compile_binop env op a b
   | Ast.Assign (op, lhs, rhs) -> compile_assign env op lhs rhs
   | Ast.Cond (c, a, b) ->
-    let cc = compile_expr env c in
+    let cc = compile_test env c in
     let ca = compile_expr env a in
     let cb = compile_expr env b in
-    fun st fr -> if truthy (cc st fr) then ca st fr else cb st fr
+    fun st fr -> if cc st fr then ca st fr else cb st fr
   | Ast.Call (fn, args) -> compile_call env e fn args
+  | Ast.Cast ((Ctypes.Tint | Ctypes.Tchar), _) ->
+    boxed_of_icode (compile_int env e)
   | Ast.Cast (ty, a) -> begin
     let ca = compile_expr env a in
     match ty with
@@ -286,9 +472,19 @@ let rec compile_expr (env : cenv) (e : Ast.expr) : ev =
         if Value.is_null v then Value.Vint 0 else v
     | _ -> fun st fr -> Eval.coerce ty (ca st fr)
   end
-  | Ast.Index _ | Ast.Field _ | Ast.Arrow _ ->
-    let loc = compile_lvalue env e in
-    compile_load (designated_ty env e) loc
+  | Ast.Index _ | Ast.Field _ | Ast.Arrow _ -> begin
+    let ty = designated_ty env e in
+    match (ty, compile_place env e) with
+    | (Ctypes.Tstruct _ | Ctypes.Tarray _), place ->
+      let loc = lv_of_place place in
+      fun st fr -> Value.Vptr (loc st fr)
+    | _, Pfield (base, off) -> fun st fr -> Memory.load_at st.mem (base st fr) off
+    | _, Pindex (base, idx, scale) ->
+      fun st fr ->
+        let b = base st fr in
+        let ix = idx st fr in
+        Memory.load_at st.mem b (ix * scale)
+  end
   | Ast.SizeofT ty ->
     let v = Value.Vint (size_of env ty) in
     fun _ _ -> v
@@ -306,12 +502,101 @@ let rec compile_expr (env : cenv) (e : Ast.expr) : ev =
       ignore (ca st fr);
       cb st fr
 
-(* Load through a pre-resolved declared type: aggregates evaluate to their
-   address, scalars to the stored cell. *)
-and compile_load (ty : Ctypes.ty) (loc : lv) : ev =
-  match ty with
-  | Ctypes.Tstruct _ | Ctypes.Tarray _ -> fun st fr -> Value.Vptr (loc st fr)
-  | _ -> fun st fr -> Memory.load st.mem (loc st fr)
+(* An [int]/[char]-typed expression as [icode] (see its definition). *)
+and compile_int (env : cenv) (e : Ast.expr) : icode =
+  match e.Ast.enode with
+  | Ast.IntLit n -> Iconst (Value.wrap32 n)
+  | Ast.CharLit c -> Iconst c
+  | Ast.Ident _ -> begin
+    match Typecheck.resolution_of env.tc e with
+    | Some (Typecheck.Renum v) -> Iconst v
+    | _ -> Ibox (compile_ident env e)
+  end
+  | Ast.Binop
+      ( (Ast.Blt | Ast.Bgt | Ast.Ble | Ast.Bge | Ast.Beq | Ast.Bne | Ast.Bland
+        | Ast.Blor),
+        _,
+        _ )
+  | Ast.Unop (Ast.Unot, _) ->
+    let t = compile_test env e in
+    Inode (fun st fr -> if t st fr then 1 else 0)
+  | Ast.Binop (op, a, b) ->
+    let ta = ty_of env a and tb = ty_of env b in
+    if Ctypes.is_integer ta && Ctypes.is_integer tb then begin
+      let app = compile_apply_binop env ~ta ~tb op in
+      Inode
+        (lift2 (int_arith op)
+           (fun va vb -> Value.int_of (app va vb))
+           (compile_int env a) (compile_int env b))
+    end
+    else Ibox (compile_binop env op a b)
+  | Ast.Unop (Ast.Uplus, a) -> compile_int env a
+  | Ast.Unop (Ast.Ubnot, a) ->
+    let fa = compile_int_of env a in
+    Inode (fun st fr -> Value.wrap32 (lnot (fa st fr)))
+  | Ast.Unop (Ast.Uneg, a) -> begin
+    match compile_int env a with
+    | (Iconst _ | Inode _) as ia ->
+      let fa = int_of_icode ia in
+      Inode (fun st fr -> Value.wrap32 (-fa st fr))
+    | Ibox _ -> Ibox (compile_unop env Ast.Uneg a)
+  end
+  | Ast.Cast (((Ctypes.Tint | Ctypes.Tchar) as ty), a) -> begin
+    let wrap = if ty = Ctypes.Tchar then Value.wrap8 else Value.wrap32 in
+    match
+      if Ctypes.is_integer (ty_of env a) then compile_int env a
+      else Ibox (compile_expr env a)
+    with
+    | (Iconst _ | Inode _) as ia ->
+      let fa = int_of_icode ia in
+      Inode (fun st fr -> wrap (fa st fr))
+    | Ibox ca -> Ibox (fun st fr -> Eval.coerce ty (ca st fr))
+  end
+  | _ -> Ibox (compile_expr env e)
+
+(* [Value.int_of] of any expression, as an unboxed closure. *)
+and compile_int_of (env : cenv) (e : Ast.expr) : ie =
+  if Ctypes.is_integer (ty_of env e) then int_of_icode (compile_int env e)
+  else
+    let ce = compile_expr env e in
+    fun st fr -> Value.int_of (ce st fr)
+
+(* The truth value of a condition: comparisons and logical operators
+   yield a [bool] directly, never a boxed 0/1. *)
+and compile_test (env : cenv) (e : Ast.expr) : test =
+  match e.Ast.enode with
+  | Ast.Binop
+      ( ((Ast.Blt | Ast.Bgt | Ast.Ble | Ast.Bge | Ast.Beq | Ast.Bne) as op),
+        a,
+        b ) ->
+    let ta = ty_of env a and tb = ty_of env b in
+    let slow =
+      compare_values ~float_ctx:(ta = Ctypes.Tdouble || tb = Ctypes.Tdouble) op
+    in
+    if Ctypes.is_integer ta && Ctypes.is_integer tb then
+      lift2 (int_compare op) slow (compile_int env a) (compile_int env b)
+    else
+      let ca = compile_expr env a in
+      let cb = compile_expr env b in
+      fun st fr ->
+        let va = ca st fr in
+        let vb = cb st fr in
+        slow va vb
+  | Ast.Binop (Ast.Bland, a, b) ->
+    let ta = compile_test env a in
+    let tb = compile_test env b in
+    fun st fr -> ta st fr && tb st fr
+  | Ast.Binop (Ast.Blor, a, b) ->
+    let ta = compile_test env a in
+    let tb = compile_test env b in
+    fun st fr -> ta st fr || tb st fr
+  | Ast.Unop (Ast.Unot, a) ->
+    let ta = compile_test env a in
+    fun st fr -> not (ta st fr)
+  | _ when Ctypes.is_integer (ty_of env e) -> test_of_icode (compile_int env e)
+  | _ ->
+    let ce = compile_expr env e in
+    fun st fr -> truthy (ce st fr)
 
 and compile_ident (env : cenv) (e : Ast.expr) : ev =
   match Typecheck.resolution_of env.tc e with
@@ -327,8 +612,8 @@ and compile_ident (env : cenv) (e : Ast.expr) : ev =
   | Some (Typecheck.Rlocal slot) -> begin
     match local_ty env slot with
     | Ctypes.Tstruct _ | Ctypes.Tarray _ ->
-      fun _ fr -> Value.Vptr fr.locals.(slot)
-    | _ -> fun st fr -> Memory.load st.mem fr.locals.(slot)
+      fun _ fr -> Value.Vptr fr.(slot)
+    | _ -> fun st fr -> Memory.load st.mem fr.(slot)
   end
   | Some (Typecheck.Rglobal gname) -> begin
     let d = Hashtbl.find env.tc.Typecheck.globals gname in
@@ -352,7 +637,7 @@ and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
   match e.Ast.enode with
   | Ast.Ident name -> begin
     match Typecheck.resolution_of env.tc e with
-    | Some (Typecheck.Rlocal slot) -> fun _ fr -> fr.locals.(slot)
+    | Some (Typecheck.Rlocal slot) -> fun _ fr -> fr.(slot)
     | Some (Typecheck.Rglobal gname) -> begin
       match Hashtbl.find_opt env.global_index gname with
       | Some gi -> fun st _ -> st.globals.(gi)
@@ -361,6 +646,14 @@ and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
     | _ -> fun _ _ -> Value.error "%s is not an object" name
   end
   | Ast.Unop (Ast.Uderef, a) -> compile_expect_ptr env a
+  | Ast.Index _ | Ast.Field _ | Ast.Arrow _ -> lv_of_place (compile_place env e)
+  | _ -> fun _ _ -> Value.error "expression is not an lvalue"
+
+(* [a[i]], [s.f] and [p->f] split into a base address and a cell offset,
+   so a scalar access reads or writes the cell without building the
+   offset pointer. *)
+and compile_place (env : cenv) (e : Ast.expr) : place =
+  match e.Ast.enode with
   | Ast.Index (a, i) -> begin
     (* Mirror [Eval.eval_lvalue]: when [a] is the pointer, evaluate the
        base from [a] and the index from [i]; otherwise the reversed
@@ -369,53 +662,66 @@ and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
     | Ctypes.Tptr t ->
       let base = compile_expect_ptr env a in
       let scale = size_of env t in
-      let idx = compile_expr env i in
-      fun st fr ->
-        let b = base st fr in
-        let ix = Value.int_of (idx st fr) in
-        Memory.offset b (ix * scale)
+      Pindex (base, compile_int_of env i, scale)
     | _ ->
       let base = compile_expect_ptr env i in
       let scale = size_of env (Option.get (pointee env i)) in
-      let idx = compile_expr env a in
-      fun st fr ->
-        let b = base st fr in
-        let ix = Value.int_of (idx st fr) in
-        Memory.offset b (ix * scale)
+      Pindex (base, compile_int_of env a, scale)
   end
   | Ast.Field (a, fname) -> begin
     match ty_of env a with
     | Ctypes.Tstruct si ->
       let off = (Ctypes.find_field env.reg si fname).Ctypes.fld_offset in
-      let base = compile_lvalue env a in
-      fun st fr -> Memory.offset (base st fr) off
+      Pfield (compile_lvalue env a, off)
     | t ->
       let msg =
         Printf.sprintf ".%s on %s" fname (Ctypes.to_string t)
       in
-      fun _ _ -> raise (Error msg)
+      Pfield ((fun _ _ -> raise (Error msg)), 0)
   end
   | Ast.Arrow (a, fname) -> begin
     match ty_of env a with
     | Ctypes.Tptr (Ctypes.Tstruct si) ->
       let off = (Ctypes.find_field env.reg si fname).Ctypes.fld_offset in
-      let base = compile_expect_ptr env a in
-      fun st fr -> Memory.offset (base st fr) off
+      Pfield (compile_expect_ptr env a, off)
     | t ->
       let msg =
         Printf.sprintf "->%s on %s" fname (Ctypes.to_string t)
       in
-      fun _ _ -> raise (Error msg)
+      Pfield ((fun _ _ -> raise (Error msg)), 0)
   end
-  | _ -> fun _ _ -> Value.error "expression is not an lvalue"
+  | _ -> invalid_arg "Compile.compile_place"
 
 and compile_expect_ptr (env : cenv) (e : Ast.expr) : lv =
-  let ce = compile_expr env e in
-  fun st fr ->
-    match ce st fr with
-    | Value.Vptr p -> p
-    | Value.Vint 0 -> Value.error "null pointer dereference"
-    | v -> Value.error "expected a pointer, got %s" (Value.to_string v)
+  match aggregate_address env e with
+  | Some loc -> loc
+  | None ->
+    let ce = compile_expr env e in
+    fun st fr ->
+      match ce st fr with
+      | Value.Vptr p -> p
+      | Value.Vint 0 -> Value.error "null pointer dereference"
+      | v -> Value.error "expected a pointer, got %s" (Value.to_string v)
+
+(* The address of a local or global array or struct named directly:
+   known to be a pointer, so no [Vptr] is built to be taken apart. *)
+and aggregate_address (env : cenv) (e : Ast.expr) : lv option =
+  match (e.Ast.enode, Typecheck.resolution_of env.tc e) with
+  | Ast.Ident _, Some (Typecheck.Rlocal slot) -> begin
+    match local_ty env slot with
+    | Ctypes.Tstruct _ | Ctypes.Tarray _ -> Some (fun _ fr -> fr.(slot))
+    | _ -> None
+  end
+  | Ast.Ident _, Some (Typecheck.Rglobal gname) -> begin
+    match
+      ( (Hashtbl.find env.tc.Typecheck.globals gname).Ast.d_ty,
+        Hashtbl.find_opt env.global_index gname )
+    with
+    | (Ctypes.Tstruct _ | Ctypes.Tarray _), Some gi ->
+      Some (fun st _ -> st.globals.(gi))
+    | _ -> None
+  end
+  | _ -> None
 
 and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : ev =
   match op with
@@ -428,12 +734,7 @@ and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : ev =
       | Value.Vfloat f -> Value.Vfloat (-.f)
       | v -> Value.error "cannot negate %s" (Value.to_string v)
     end
-  | Ast.Unot ->
-    let ca = compile_expr env a in
-    fun st fr -> Value.Vint (if truthy (ca st fr) then 0 else 1)
-  | Ast.Ubnot ->
-    let ca = compile_expr env a in
-    fun st fr -> Value.Vint (Value.wrap32 (lnot (Value.int_of (ca st fr))))
+  | Ast.Unot | Ast.Ubnot -> assert false (* int-typed: compile_int *)
   | Ast.Uderef -> begin
     match ty_of env a with
     | Ctypes.Tptr (Ctypes.Tfun _) -> compile_expr env a
@@ -460,58 +761,30 @@ and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : ev =
       fun st fr -> Value.Vptr (loc st fr)
   end
 
+(* Boxed arithmetic: pointer and [double] operands. *)
 and compile_binop (env : cenv) (op : Ast.binop) (a : Ast.expr) (b : Ast.expr)
     : ev =
-  match op with
-  | Ast.Bland ->
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    fun st fr ->
-      if not (truthy (ca st fr)) then Value.Vint 0
-      else Value.Vint (if truthy (cb st fr) then 1 else 0)
-  | Ast.Blor ->
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    fun st fr ->
-      if truthy (ca st fr) then Value.Vint 1
-      else Value.Vint (if truthy (cb st fr) then 1 else 0)
-  | _ ->
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    let app = compile_apply_binop env ~ta:(ty_of env a) ~tb:(ty_of env b) op in
-    fun st fr ->
-      let va = ca st fr in
-      let vb = cb st fr in
-      app va vb
+  let ca = compile_expr env a in
+  let cb = compile_expr env b in
+  let app = compile_apply_binop env ~ta:(ty_of env a) ~tb:(ty_of env b) op in
+  fun st fr ->
+    let va = ca st fr in
+    let vb = cb st fr in
+    app va vb
 
 (* Specialized [Eval.apply_binop]: the type dispatch, element sizes and
    float-context decision happen at compile time. *)
 and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
     (op : Ast.binop) : Value.value -> Value.value -> Value.value =
-  let int_op f va vb =
-    Value.Vint (Value.wrap32 (f (Value.int_of va) (Value.int_of vb)))
+  let int_op op =
+    let f = int_arith op in
+    fun va vb -> Value.Vint (f (Value.int_of va) (Value.int_of vb))
   in
   let float_ctx = ta = Ctypes.Tdouble || tb = Ctypes.Tdouble in
-  let arith fint ffloat =
+  let arith ffloat =
     if float_ctx then fun va vb ->
       Value.Vfloat (ffloat (Value.float_of va) (Value.float_of vb))
-    else int_op fint
-  in
-  let compare_with lt va vb =
-    let result =
-      match (va, vb) with
-      | Value.Vptr p, Value.Vptr q ->
-        if p.Value.blk <> q.Value.blk then
-          lt (compare p.Value.blk q.Value.blk) 0
-        else lt (compare p.Value.off q.Value.off) 0
-      | Value.Vptr _, Value.Vint 0 -> lt 1 0
-      | Value.Vint 0, Value.Vptr _ -> lt (-1) 0
-      | _ ->
-        if float_ctx then
-          lt (compare (Value.float_of va) (Value.float_of vb)) 0
-        else lt (compare (Value.int_of va) (Value.int_of vb)) 0
-    in
-    Value.Vint (if result then 1 else 0)
+    else int_op op
   in
   match op with
   | Ast.Badd -> begin
@@ -526,7 +799,7 @@ and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
       fun va vb ->
         let p = Eval.expect_ptr_value vb in
         Value.Vptr (Memory.offset p (Value.int_of va * sz))
-    | _ -> arith ( + ) ( +. )
+    | _ -> arith ( +. )
   end
   | Ast.Bsub -> begin
     match (ta, tb) with
@@ -545,9 +818,9 @@ and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
       fun va vb ->
         let p = Eval.expect_ptr_value va in
         Value.Vptr (Memory.offset p (-Value.int_of vb * sz))
-    | _ -> arith ( - ) ( -. )
+    | _ -> arith ( -. )
   end
-  | Ast.Bmul -> arith ( * ) ( *. )
+  | Ast.Bmul -> arith ( *. )
   | Ast.Bdiv ->
     if float_ctx then fun va vb -> begin
       let d = Value.float_of vb in
@@ -564,20 +837,10 @@ and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
       let d = Value.int_of vb in
       if d = 0 then Value.error "modulo by zero";
       Value.Vint (Value.wrap32 (Value.int_of va mod d))
-  | Ast.Bshl -> int_op (fun x y -> x lsl (y land 31))
-  | Ast.Bshr -> int_op (fun x y -> x asr (y land 31))
-  | Ast.Bband -> int_op ( land )
-  | Ast.Bbor -> int_op ( lor )
-  | Ast.Bbxor -> int_op ( lxor )
-  | Ast.Blt -> compare_with (fun c z -> c < z)
-  | Ast.Bgt -> compare_with (fun c z -> c > z)
-  | Ast.Ble -> compare_with (fun c z -> c <= z)
-  | Ast.Bge -> compare_with (fun c z -> c >= z)
-  | Ast.Beq ->
-    fun va vb -> Value.Vint (if Value.equal_values va vb then 1 else 0)
-  | Ast.Bne ->
-    fun va vb -> Value.Vint (if Value.equal_values va vb then 0 else 1)
-  | Ast.Bland | Ast.Blor -> assert false (* handled by compile_binop *)
+  | Ast.Bshl | Ast.Bshr | Ast.Bband | Ast.Bbor | Ast.Bbxor -> int_op op
+  | Ast.Blt | Ast.Bgt | Ast.Ble | Ast.Bge | Ast.Beq | Ast.Bne | Ast.Bland
+  | Ast.Blor ->
+    assert false (* int-typed: compile_test *)
 
 and compile_assign (env : cenv) (op : Ast.assign_op) (lhs : Ast.expr)
     (rhs : Ast.expr) : ev =
@@ -596,12 +859,50 @@ and compile_assign (env : cenv) (op : Ast.assign_op) (lhs : Ast.expr)
       in
       Memory.blit st.mem ~src:s ~dst:d size;
       Value.Vptr d
-  | Ast.Aplain, _ ->
+  | Ast.Aplain, _ -> begin
+    match lhs.Ast.enode with
+    | Ast.Index _ | Ast.Field _ | Ast.Arrow _ -> begin
+      let place = compile_place env lhs in
+      let crhs = compile_expr env rhs in
+      match place with
+      | Pfield (base, off) ->
+        fun st fr ->
+          let b = base st fr in
+          let v = Eval.coerce tl (crhs st fr) in
+          Memory.store_at st.mem b off v;
+          v
+      | Pindex (base, idx, scale) ->
+        fun st fr ->
+          let b = base st fr in
+          let ix = idx st fr in
+          let v = Eval.coerce tl (crhs st fr) in
+          Memory.store_at st.mem b (ix * scale) v;
+          v
+    end
+    | _ ->
+      let loc = compile_lvalue env lhs in
+      let crhs = compile_expr env rhs in
+      fun st fr ->
+        let l = loc st fr in
+        let v = Eval.coerce tl (crhs st fr) in
+        Memory.store st.mem l v;
+        v
+  end
+  | _, (Ctypes.Tint | Ctypes.Tchar) when Ctypes.is_integer (ty_of env rhs) ->
+    (* Integer compound assignment: the operator runs unboxed and the
+       result is boxed once, for the store. *)
+    let bop = Option.get (Ast.binop_of_assign op) in
     let loc = compile_lvalue env lhs in
-    let crhs = compile_expr env rhs in
+    let app = compile_apply_binop env ~ta:tl ~tb:(ty_of env rhs) bop in
+    let apply =
+      lift2v (int_arith bop)
+        (fun va vb -> Value.int_of (app va vb))
+        (compile_int env rhs)
+    in
+    let wrap = if tl = Ctypes.Tchar then Value.wrap8 else Value.wrap32 in
     fun st fr ->
       let l = loc st fr in
-      let v = Eval.coerce tl (crhs st fr) in
+      let v = Value.Vint (wrap (apply (Memory.load st.mem l) st fr)) in
       Memory.store st.mem l v;
       v
   | _, _ ->
@@ -621,11 +922,11 @@ and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
     ~(pre : bool) : ev =
   let loc = compile_lvalue env a in
   let ty = ty_of env a in
-  let fresh_of : state -> Value.value -> Value.value =
+  let fresh_of : Value.value -> Value.value =
     match ty with
     | Ctypes.Tptr t ->
       let d = delta * size_of env t in
-      fun _ old -> begin
+      fun old -> begin
         match old with
         | Value.Vptr p -> Value.Vptr (Memory.offset p d)
         | Value.Vint 0 -> Value.error "arithmetic on a null pointer"
@@ -633,13 +934,20 @@ and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
       end
     | Ctypes.Tdouble ->
       let d = float_of_int delta in
-      fun _ old -> Value.Vfloat (Value.float_of old +. d)
-    | _ -> fun _ old -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
+      fun old -> Value.Vfloat (Value.float_of old +. d)
+    | Ctypes.Tint | Ctypes.Tchar ->
+      let wrap = if ty = Ctypes.Tchar then Value.wrap8 else Value.wrap32 in
+      fun old -> begin
+        match old with
+        | Value.Vint n -> Value.Vint (wrap (n + delta))
+        | _ -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
+      end
+    | _ -> fun old -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
   in
   fun st fr ->
     let l = loc st fr in
     let old = Memory.load st.mem l in
-    let fresh = fresh_of st old in
+    let fresh = fresh_of old in
     Memory.store st.mem l fresh;
     if pre then fresh else old
 
@@ -671,6 +979,7 @@ and compile_call (env : cenv) (e : Ast.expr) (fn_expr : Ast.expr)
     | Ast.Ident _ -> Typecheck.resolution_of env.tc fn_expr
     | _ -> None
   in
+  let eval_args = args_evaluator (Array.of_list cargs) in
   match direct_resolution with
   | Some (Typecheck.Rbuiltin name) ->
     fun st fr ->
@@ -682,14 +991,13 @@ and compile_call (env : cenv) (e : Ast.expr) (fn_expr : Ast.expr)
     | Some target ->
       fun st fr ->
         bump st;
-        let argv = List.map (fun f -> f st fr) cargs in
-        call_fn st target argv
+        call_fn st target (eval_args st fr)
     | None ->
       (* Prototype without definition: [Eval] still evaluates the
          arguments before failing the lookup. *)
       fun st fr ->
         bump st;
-        let _argv = List.map (fun f -> f st fr) cargs in
+        ignore (eval_args st fr);
         Value.error "call to undefined function %s" name
   end
   | _ ->
@@ -698,9 +1006,10 @@ and compile_call (env : cenv) (e : Ast.expr) (fn_expr : Ast.expr)
     fun st fr -> begin
       bump st;
       let v = callee st fr in
-      let argv = List.map (fun f -> f st fr) cargs in
+      let argv = eval_args st fr in
       match v with
-      | Value.Vfun (Value.Fbuiltin name) -> Builtins.call st.bctx name argv
+      | Value.Vfun (Value.Fbuiltin name) ->
+        Builtins.call st.bctx name (Array.to_list argv)
       | Value.Vfun (Value.Fuser name) -> begin
         match Hashtbl.find_opt fns name with
         | Some target -> call_fn st target argv
@@ -768,29 +1077,27 @@ let compile_instr (env : cenv) : Cfg.instr -> state -> frame -> unit =
     match d.Ast.d_init with
     | Some init ->
       let w = compile_write_init env d.Ast.d_ty init in
-      fun st fr -> w st fr fr.locals.(slot)
+      fun st fr -> w st fr fr.(slot)
     | None -> fun _ _ -> ()
   end
 
 let compile_term (env : cenv) : Cfg.terminator -> cterm = function
   | Cfg.Tjump next -> Cjump next
-  | Cfg.Tbranch (br, t, f) -> Cbranch (compile_expr env br.Cfg.br_cond, t, f)
+  | Cfg.Tbranch (br, t, f) -> Cbranch (compile_test env br.Cfg.br_cond, t, f)
   | Cfg.Tswitch (scrutinee, cases, default) ->
     (* First match wins under [List.assoc_opt]; preserve that. *)
     let table = Hashtbl.create (List.length cases) in
     List.iter
       (fun (v, t) -> if not (Hashtbl.mem table v) then Hashtbl.add table v t)
       cases;
-    Cswitch (compile_expr env scrutinee, table, default)
+    Cswitch (compile_int_of env scrutinee, table, default)
   | Cfg.Treturn (Some e) -> Creturn (compile_expr env e)
   | Cfg.Treturn None -> Creturn (fun _ _ -> Value.Vint 0)
 
 let compile_block (env : cenv) (b : Cfg.block) : cblock =
-  let n_instrs = List.length b.Cfg.b_instrs in
   { cb_instrs =
       Array.of_list (List.map (compile_instr env) b.Cfg.b_instrs);
-    cb_cost = 1 + n_instrs;
-    cb_costf = 1.0 +. float_of_int n_instrs;
+    cb_cost = 1 + List.length b.Cfg.b_instrs;
     cb_term = compile_term env b.Cfg.b_term }
 
 let bind_param (env : cenv) (li : Typecheck.local_info) (i : int) :
@@ -800,10 +1107,10 @@ let bind_param (env : cenv) (li : Typecheck.local_info) (i : int) :
     let size = (Ctypes.find env.reg si).Ctypes.str_size in
     fun st fr v -> begin
       match v with
-      | Value.Vptr src -> Memory.blit st.mem ~src ~dst:fr.locals.(i) size
+      | Value.Vptr src -> Memory.blit st.mem ~src ~dst:fr.(i) size
       | v -> Value.error "struct argument is %s" (Value.to_string v)
     end
-  | ty -> fun st fr v -> Memory.store st.mem fr.locals.(i) (Eval.coerce ty v)
+  | ty -> fun st fr v -> Memory.store st.mem fr.(i) (Eval.coerce ty v)
 
 let compile (src : Cfg.program) : prog =
   let tc = src.Cfg.prog_tc in
@@ -826,6 +1133,12 @@ let compile (src : Cfg.program) : prog =
     List.mapi
       (fun i (fn : Cfg.fn) ->
         let fi = fn.Cfg.fn_info in
+        let tags =
+          Array.map
+            (fun (li : Typecheck.local_info) ->
+              fn.Cfg.fn_name ^ "." ^ li.Typecheck.l_name)
+            fi.Typecheck.fi_locals
+        in
         let cf =
           { c_name = fn.Cfg.fn_name; c_index = i; c_entry = fn.Cfg.fn_entry;
             c_blocks = [||];
@@ -834,11 +1147,8 @@ let compile (src : Cfg.program) : prog =
                 (fun (li : Typecheck.local_info) ->
                   size_of env li.Typecheck.l_ty)
                 fi.Typecheck.fi_locals;
-            c_local_tags =
-              Array.map
-                (fun (li : Typecheck.local_info) ->
-                  fn.Cfg.fn_name ^ "." ^ li.Typecheck.l_name)
-                fi.Typecheck.fi_locals;
+            c_local_tags = tags;
+            c_local_dead = Array.map Memory.dead_block tags;
             c_bind_params =
               Array.mapi
                 (fun i li -> bind_param env li i)
@@ -912,7 +1222,7 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
   let st =
     { mem; bctx = Builtins.create_ctx ~input mem;
       globals =
-        Array.make (Array.length p.p_global_sizes) { Value.blk = -1; off = 0 };
+        Array.make (Array.length p.p_global_sizes) null_ptr;
       string_cache = Array.make (max p.p_n_strings 1) None;
       strings = Hashtbl.create 32;
       fcounters =
@@ -921,7 +1231,10 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
           p.p_fn_list;
       profile; fuel; deadline; clock_tick }
   in
+  (* Every block subtracts its cost from fuel and [Eval] adds the same
+     cost to work, so the spent fuel is the work, exactly. *)
   let finish code =
+    st.profile.Profile.work <- float_of_int (fuel - st.fuel);
     { Eval.exit_code = code; stdout_text = Builtins.output st.bctx;
       profile = st.profile; work = st.profile.Profile.work }
   in
@@ -931,7 +1244,7 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     try
       (* Globals: allocate all storage in declaration order, then run the
          initializers — the same two passes as [Eval.init_globals]. *)
-      let dummy = { locals = [||] } in
+      let dummy = [||] in
       Array.iteri
         (fun i size ->
           st.globals.(i) <-
@@ -942,7 +1255,7 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
         p.p_global_inits;
       let args =
         match p.p_main_arity with
-        | 0 -> []
+        | 0 -> [||]
         | 2 ->
           let all = "prog" :: argv in
           let argc = List.length all in
@@ -953,7 +1266,7 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
               Memory.store mem (Memory.offset arr i) (Value.Vptr sp))
             all;
           Memory.store mem (Memory.offset arr argc) (Value.Vint 0);
-          [ Value.Vint argc; Value.Vptr arr ]
+          [| Value.Vint argc; Value.Vptr arr |]
         | _ -> Value.error "main must take () or (int, char **)"
       in
       let result = call_fn st main_cf args in

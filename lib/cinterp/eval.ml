@@ -74,12 +74,17 @@ let intern_string (g : genv) (s : string) : Value.ptr =
     Hashtbl.replace g.strings s p;
     p
 
-(* Coerce a value for storage into an object of type [ty]. *)
+(* Coerce a value for storage into an object of type [ty]. An integer
+   that wrapping leaves unchanged is returned as is, not re-boxed. *)
 let coerce (ty : Ctypes.ty) (v : Value.value) : Value.value =
   match (ty, v) with
-  | Ctypes.Tint, Value.Vint n -> Value.Vint (Value.wrap32 n)
+  | Ctypes.Tint, Value.Vint n ->
+    let w = Value.wrap32 n in
+    if w = n then v else Value.Vint w
   | Ctypes.Tint, Value.Vfloat f -> Value.Vint (Value.wrap32 (int_of_float f))
-  | Ctypes.Tchar, Value.Vint n -> Value.Vint (Value.wrap8 n)
+  | Ctypes.Tchar, Value.Vint n ->
+    let w = Value.wrap8 n in
+    if w = n then v else Value.Vint w
   | Ctypes.Tchar, Value.Vfloat f -> Value.Vint (Value.wrap8 (int_of_float f))
   | Ctypes.Tdouble, (Value.Vint _ | Value.Vfloat _) ->
     Value.Vfloat (Value.float_of v)
@@ -96,6 +101,21 @@ let coerce (ty : Ctypes.ty) (v : Value.value) : Value.value =
       (Ctypes.to_string t)
 
 let truthy = Value.to_bool
+
+(* A relational operator on two values: [lt] applied to the comparison
+   of pointer positions, or of the values as floats when either operand
+   is a double ([float_ctx]), else as ints. *)
+let ordered ~(float_ctx : bool) (lt : int -> int -> bool)
+    (va : Value.value) (vb : Value.value) : bool =
+  match (va, vb) with
+  | Value.Vptr p, Value.Vptr q ->
+    if p.Value.blk <> q.Value.blk then lt (compare p.Value.blk q.Value.blk) 0
+    else lt (compare p.Value.off q.Value.off) 0
+  | Value.Vptr _, Value.Vint 0 -> lt 1 0
+  | Value.Vint 0, Value.Vptr _ -> lt (-1) 0
+  | _ ->
+    if float_ctx then lt (compare (Value.float_of va) (Value.float_of vb)) 0
+    else lt (compare (Value.int_of va) (Value.int_of vb)) 0
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation *)
@@ -290,18 +310,7 @@ and apply_binop g ~(ta : Ctypes.ty) ~(tb : Ctypes.ty) op va vb ~pos :
     else int_op fint
   in
   let cmp result = Value.Vint (if result then 1 else 0) in
-  let compare_values lt =
-    match (va, vb) with
-    | Value.Vptr p, Value.Vptr q ->
-      if p.Value.blk <> q.Value.blk then
-        lt (compare p.Value.blk q.Value.blk) 0
-      else lt (compare p.Value.off q.Value.off) 0
-    | Value.Vptr _, Value.Vint 0 -> lt 1 0
-    | Value.Vint 0, Value.Vptr _ -> lt (-1) 0
-    | _ ->
-      if float_ctx then lt (compare (Value.float_of va) (Value.float_of vb)) 0
-      else lt (compare (Value.int_of va) (Value.int_of vb)) 0
-  in
+  let compare_values lt = ordered ~float_ctx lt va vb in
   match op with
   | Ast.Badd -> begin
     match (ta, tb) with
@@ -442,12 +451,16 @@ and eval_call g fr (e : Ast.expr) (fn_expr : Ast.expr) (args : Ast.expr list)
 and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
     =
   let fi = fn.Cfg.fn_info in
-  let locals =
+  let tags =
     Array.map
       (fun (li : Typecheck.local_info) ->
-        Memory.alloc g.mem
-          (size_of g li.Typecheck.l_ty)
-          ~tag:(fn.Cfg.fn_name ^ "." ^ li.Typecheck.l_name))
+        fn.Cfg.fn_name ^ "." ^ li.Typecheck.l_name)
+      fi.Typecheck.fi_locals
+  in
+  let locals =
+    Array.mapi
+      (fun i (li : Typecheck.local_info) ->
+        Memory.alloc g.mem (size_of g li.Typecheck.l_ty) ~tag:tags.(i))
       fi.Typecheck.fi_locals
   in
   let fr = { fn; locals } in
@@ -467,7 +480,9 @@ and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
     args;
   let counters = Profile.fn_counters g.profile fn.Cfg.fn_name in
   let result = exec_blocks g fr counters fn.Cfg.fn_entry in
-  Array.iter (fun p -> Memory.kill g.mem p) locals;
+  Array.iteri
+    (fun i p -> Memory.kill g.mem p (Memory.dead_block tags.(i)))
+    locals;
   coerce fn.Cfg.fn_def.Ast.f_ret result
 
 and exec_blocks g fr (counters : Profile.fn_counters) (start : int) :

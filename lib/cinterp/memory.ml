@@ -17,9 +17,14 @@ let create () = { blocks = [||]; count = 0 }
 
 let n_blocks m = m.count
 
+(* Most locals are scalars: a one-cell block is built inline rather than
+   through the generic [Array.make] runtime call. *)
 let alloc (m : t) (size : int) ~(tag : string) : Value.ptr =
   if size < 0 then Value.error "allocation of negative size (%s)" tag;
-  let blk = { cells = Array.make (max size 0) (Value.Vint 0); live = true; tag } in
+  let cells =
+    if size = 1 then [| Value.Vint 0 |] else Array.make size (Value.Vint 0)
+  in
+  let blk = { cells; live = true; tag } in
   if m.count = Array.length m.blocks then begin
     let cap = max 64 (2 * m.count) in
     let blocks =
@@ -35,34 +40,51 @@ let alloc (m : t) (size : int) ~(tag : string) : Value.ptr =
 let lookup (m : t) (p : Value.ptr) : block =
   if p.Value.blk < 0 || p.Value.blk >= m.count then
     Value.error "invalid pointer (block %d)" p.Value.blk;
-  let b = m.blocks.(p.Value.blk) in
+  let b = Array.unsafe_get m.blocks p.Value.blk in
   if not b.live then
     Value.error "use of freed or dead object (%s)" b.tag;
   b
 
-let load (m : t) (p : Value.ptr) : Value.value =
+(* [load_at m p delta] / [store_at m p delta v] access the cell [delta]
+   past [p] without building the offset pointer; the checks and
+   messages are those of [load]/[store] on [offset p delta]. *)
+let load_at (m : t) (p : Value.ptr) (delta : int) : Value.value =
   let b = lookup m p in
-  if p.Value.off < 0 || p.Value.off >= Array.length b.cells then
-    Value.error "load out of bounds (%s, offset %d of %d)" b.tag p.Value.off
+  let off = p.Value.off + delta in
+  if off < 0 || off >= Array.length b.cells then
+    Value.error "load out of bounds (%s, offset %d of %d)" b.tag off
       (Array.length b.cells);
-  b.cells.(p.Value.off)
+  Array.unsafe_get b.cells off
 
-let store (m : t) (p : Value.ptr) (v : Value.value) : unit =
+let store_at (m : t) (p : Value.ptr) (delta : int) (v : Value.value) : unit =
   let b = lookup m p in
-  if p.Value.off < 0 || p.Value.off >= Array.length b.cells then
-    Value.error "store out of bounds (%s, offset %d of %d)" b.tag p.Value.off
+  let off = p.Value.off + delta in
+  if off < 0 || off >= Array.length b.cells then
+    Value.error "store out of bounds (%s, offset %d of %d)" b.tag off
       (Array.length b.cells);
-  b.cells.(p.Value.off) <- v
+  Array.unsafe_set b.cells off v
+
+let load (m : t) (p : Value.ptr) : Value.value = load_at m p 0
+
+let store (m : t) (p : Value.ptr) (v : Value.value) : unit = store_at m p 0 v
+
+(* A dead block keeps no cells: only its tag survives, for the
+   use-after-free diagnostic. Block ids are never reused. *)
+let dead_block (tag : string) : block = { cells = [||]; live = false; tag }
 
 let free (m : t) (p : Value.ptr) : unit =
   if p.Value.off <> 0 then Value.error "free of interior pointer";
   let b = lookup m p in
-  b.live <- false
+  b.live <- false;
+  b.cells <- [||]
 
-(* Kill a block (locals going out of scope): later access is an error. *)
-let kill (m : t) (p : Value.ptr) : unit =
-  let b = lookup m p in
-  b.live <- false
+(* Kill a block (locals going out of scope): later access is an error.
+   The slot is pointed at [dead], a record the caller may share between
+   every activation of the same local declaration, so a call leaves
+   nothing behind in the store but one table entry per local. *)
+let kill (m : t) (p : Value.ptr) (dead : block) : unit =
+  ignore (lookup m p);
+  m.blocks.(p.Value.blk) <- dead
 
 let size_of_block (m : t) (p : Value.ptr) : int =
   Array.length (lookup m p).cells

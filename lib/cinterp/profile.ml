@@ -184,3 +184,114 @@ let aggregate (p : Cfg.program) (profiles : t list) : t =
         out.work <- out.work +. (scale *. prof.work))
       profiles totals;
     out
+
+(* ------------------------------------------------------------------ *)
+(* Flow conservation: an oracle that depends on no interpreter. A
+   complete run enters each block exactly as often as control flows into
+   it, so the counters must satisfy, per function:
+
+   - a branch block's count = its taken + not-taken counts;
+   - a non-entry block's count = its inflow: the counts of the blocks
+     that jump to it plus the taken / not-taken counts of the branches
+     that target it;
+   - switch arms are not counted separately, so the blocks a switch
+     targets are checked in aggregate: what their inflow leaves
+     unexplained sums to the switch blocks' counts;
+   - the entry count = its inflow + the direct call-site counts of the
+     function (+1 for [main]); calls through pointers are checked in
+     aggregate over all functions.
+
+   A run that ends in [exit()]/[abort()] leaves the block that called it
+   without a successor, so under an executed exit site each equation may
+   fall short by one. Both interpreters share these counters, so this
+   catches counter bugs that comparing the two cannot. *)
+
+let conservation_violations (p : Cfg.program) (t : t) : string list =
+  let out = ref [] in
+  let report fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let site_count (cs : Cfg.call_site) = t.site_counts.(cs.Cfg.cs_id) in
+  let exited =
+    Array.exists
+      (fun (cs : Cfg.call_site) ->
+        match cs.Cfg.cs_callee with
+        | Cfg.Builtin ("exit" | "abort") -> site_count cs > 0.0
+        | _ -> false)
+      p.Cfg.prog_sites
+  in
+  let slack = if exited then 1.0 else 0.0 in
+  (* [supplied] flowed in or was called for; [got] was counted. *)
+  let conserved ~supplied ~got = got <= supplied && supplied -. got <= slack in
+  let direct = Hashtbl.create 16 in
+  let indirect = ref 0.0 in
+  Array.iter
+    (fun (cs : Cfg.call_site) ->
+      match cs.Cfg.cs_callee with
+      | Cfg.Direct f ->
+        let n = Option.value ~default:0.0 (Hashtbl.find_opt direct f) in
+        Hashtbl.replace direct f (n +. site_count cs)
+      | Cfg.Indirect -> indirect := !indirect +. site_count cs
+      | Cfg.Builtin _ -> ())
+    p.Cfg.prog_sites;
+  let unexplained_entries = ref 0.0 in
+  List.iter
+    (fun (fn : Cfg.fn) ->
+      let name = fn.Cfg.fn_name in
+      let c = fn_counters t name in
+      let n = Cfg.n_blocks fn in
+      let inflow = Array.make n 0.0 in
+      let switch_target = Array.make n false in
+      let switch_out = ref 0.0 in
+      Array.iter
+        (fun (b : Cfg.block) ->
+          let id = b.Cfg.b_id in
+          match b.Cfg.b_term with
+          | Cfg.Tjump s -> inflow.(s) <- inflow.(s) +. c.block_counts.(id)
+          | Cfg.Tbranch (_, tt, ff) ->
+            let taken = c.branch_taken.(id) in
+            let not_taken = c.branch_not_taken.(id) in
+            if not (conserved ~supplied:c.block_counts.(id)
+                      ~got:(taken +. not_taken))
+            then
+              report "%s: branch block %d counted %.17g but left %.17g times"
+                name id c.block_counts.(id) (taken +. not_taken);
+            inflow.(tt) <- inflow.(tt) +. taken;
+            inflow.(ff) <- inflow.(ff) +. not_taken
+          | Cfg.Tswitch (_, cases, default) ->
+            List.iter
+              (fun s -> switch_target.(s) <- true)
+              (default :: List.map snd cases);
+            switch_out := !switch_out +. c.block_counts.(id)
+          | Cfg.Treturn _ -> ())
+        fn.Cfg.fn_blocks;
+      let switch_in = ref 0.0 in
+      Array.iteri
+        (fun id count ->
+          let rest = count -. inflow.(id) in
+          if id = fn.Cfg.fn_entry then begin
+            let called =
+              Option.value ~default:0.0 (Hashtbl.find_opt direct name)
+              +. if name = "main" then 1.0 else 0.0
+            in
+            if rest < called -. slack then
+              report "%s: entered %.17g times but called %.17g times directly"
+                name rest called;
+            unexplained_entries := !unexplained_entries +. (rest -. called)
+          end
+          else if switch_target.(id) then begin
+            if rest < -.slack then
+              report "%s: block %d counted %.17g but entered %.17g times"
+                name id count inflow.(id);
+            switch_in := !switch_in +. rest
+          end
+          else if not (conserved ~supplied:inflow.(id) ~got:count) then
+            report "%s: block %d counted %.17g but entered %.17g times" name
+              id count inflow.(id))
+        c.block_counts;
+      if not (conserved ~supplied:!switch_out ~got:!switch_in) then
+        report "%s: switch arms counted %.17g but switches ran %.17g times"
+          name !switch_in !switch_out)
+    p.Cfg.prog_fns;
+  if not (conserved ~supplied:!indirect ~got:!unexplained_entries) then
+    report "entries not explained by direct calls: %.17g, indirect calls: %.17g"
+      !unexplained_entries !indirect;
+  List.rev !out

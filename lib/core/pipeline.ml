@@ -120,10 +120,33 @@ let fn_hash (c : compiled) (fn : Cfg.fn) : string =
 (* One profiling run: command-line arguments and stdin contents. *)
 type run = { argv : string list; input : string }
 
+(* With probes on, each run also observes its interpreter cost: the work
+   units executed and the minor-heap words the calling domain allocated
+   per unit. Budget-stopped runs report their partial cost. *)
 let run_once ?fuel ?deadline_s (c : compiled) (r : run) : Eval.outcome =
   Obs.Probe.with_span "profile" (fun () ->
-      Compile.run ?fuel ?deadline_s ~argv:r.argv ~input:r.input
-        (closure_exe c))
+      let run () =
+        Compile.run ?fuel ?deadline_s ~argv:r.argv ~input:r.input
+          (closure_exe c)
+      in
+      if not (Obs.Probe.enabled ()) then run ()
+      else begin
+        let words0 = Gc.minor_words () in
+        let observe (o : Eval.outcome) =
+          let words = Gc.minor_words () -. words0 in
+          Obs.Probe.observe "profile.work_units" o.Eval.work;
+          if o.Eval.work > 0.0 then
+            Obs.Probe.observe "profile.minor_words_per_unit"
+              (words /. o.Eval.work)
+        in
+        match run () with
+        | o ->
+          observe o;
+          o
+        | exception (Eval.Budget_exhausted (_, o) as stop) ->
+          observe o;
+          raise stop
+      end)
 
 let profile_runs ?fuel ?deadline_s (c : compiled)
     (runs : run list) : Profile.t list =

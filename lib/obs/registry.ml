@@ -54,6 +54,11 @@ let entries : entry list =
     exact "context.cache_miss" Counter "session program-cache misses";
     exact "context.cache_wait" Counter
       "lookups that blocked on another task filling the same slot";
+    exact "profile.work_units" Counter
+      "work units (executed instructions + blocks) of each profiling run";
+    exact "profile.minor_words_per_unit" Counter
+      "minor-heap words the profiling domain allocated per work unit, one \
+       observation per run";
     exact "profile.partial" Counter
       "profiling runs that exhausted their fuel or wall-clock budget and \
        kept a partial profile (suite and corpus)";

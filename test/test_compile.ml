@@ -34,10 +34,17 @@ let run_with backend ?fuel ?deadline_s ?(argv = []) ?(input = "") c =
   | Compiled ->
     Compile.run ?fuel ?deadline_s ~argv ~input (Pipeline.closure_exe c)
 
+(* Flow conservation holds for every complete run's profile. *)
+let check_conserved name c (profile : Profile.t) =
+  Alcotest.(check (list string))
+    (name ^ ": flow conservation") []
+    (Profile.conservation_violations c.Pipeline.prog profile)
+
 (* Compare every observable of one run under both back ends. *)
 let check_identical name ?fuel ?argv ?input c =
   let t = run_with Tree ?fuel ?argv ?input c in
   let k = run_with Compiled ?fuel ?argv ?input c in
+  check_conserved name c k.Eval.profile;
   Alcotest.(check int) (name ^ ": exit code") t.Eval.exit_code k.Eval.exit_code;
   Alcotest.(check string)
     (name ^ ": stdout") t.Eval.stdout_text k.Eval.stdout_text;
@@ -141,6 +148,149 @@ let test_diagnostics () =
     ~expect:"call to undefined function ghost"
     "int ghost(int);\nint main(void) { return ghost(1); }"
 
+(* The unboxed integer closures, fused indexed access and shared dead
+   slots must keep every observable of the boxed reference: wraparound,
+   shift counts, C division, bounds and liveness messages, and the point
+   at which a non-integer read from an [int] cell is converted. *)
+let test_fast_paths () =
+  check_identical "int and char wraparound"
+    (compile
+       {|int main(void) {
+          int x = 2147483647; int y = 2147483600; int z = 65536; int i;
+          char c = 120;
+          x++; printf("%d\n", x);
+          x--; printf("%d\n", x);
+          y += 100; printf("%d\n", y);
+          z = z * z; printf("%d\n", z);
+          z = 123456789; z *= 1000; printf("%d\n", z);
+          for (i = 0; i < 5; i++) { c += 3; printf("%d ", c); }
+          c -= 300; printf("%d\n", c);
+          c = 127; c++; printf("%d\n", c);
+          c = -128; --c; printf("%d\n", c);
+          c = 100; c *= 3; printf("%d\n", c);
+          return 0;
+        }|});
+  check_identical "shift counts"
+    (compile
+       {|int main(void) {
+          int one = 1; int m = -8; int k;
+          printf("%d %d %d\n", one << 31, one << 32, one << 33);
+          printf("%d %d %d\n", m >> 1, m >> 31, m >> 35);
+          for (k = 29; k < 36; k++) printf("%d ", 3 << k);
+          printf("%d\n", 0x40000000 << 1);
+          return 0;
+        }|});
+  check_identical "negative division"
+    (compile
+       {|int main(void) {
+          int a = -7; int b = 2; int min = -2147483647 - 1; int neg = -1;
+          printf("%d %d %d %d\n", a / b, a % b, 7 / -b, 7 % -b);
+          printf("%d %d\n", a / -b, a % -b);
+          printf("%d\n", min / neg);
+          a /= b; b %= 3; printf("%d %d\n", a, b);
+          return 0;
+        }|});
+  check_same_error "indexed store out of bounds through a pointer"
+    ~expect:"store out of bounds (main.a, offset 4 of 4)"
+    {|void put(int *a, int i, int v) { a[i] = v; }
+      int main(void) { int a[4]; put(a, 2, 5); put(a, 4, 1); return 0; }|};
+  check_same_error "indexed load out of bounds through a pointer"
+    ~expect:"load out of bounds (main.a, offset -1 of 4)"
+    {|int get(int *a, int i) { return a[i]; }
+      int main(void) { int a[4]; a[0] = 1; return get(a, 0) + get(a, -1); }|};
+  (* A pointer read from an [int] cell is converted only after the other
+     operand ran: here the other operand fails first. *)
+  check_same_error "pointer in an int cell, converted late"
+    ~expect:"division by zero"
+    {|int zero = 0;
+      int f(void) { printf("f ran\n"); return 1 / zero; }
+      int main(void) {
+        int x; int y = 0; int **pp = (int **) &x;
+        *pp = &y;
+        return x + f();
+      }|};
+  check_identical "non-integers in int cells compare as values"
+    (compile
+       {|int main(void) {
+          int x; int y; int z = 0; int w;
+          int **px = (int **) &x; int **py = (int **) &y;
+          double *pw = (double *) &w;
+          *px = &z; *py = &z; *pw = 2.5;
+          printf("%d %d %d\n", x == 0, x != 0, x == y);
+          printf("%d %d %d\n", w == 2, w + 1, w < 3);
+          return 0;
+        }|});
+  check_same_error "dead slots shared across calls"
+    ~expect:"use of freed or dead object (leak.x)"
+    {|int *leak(int v) { int x = v; return &x; }
+      int main(void) {
+        int i; int *p; int *q; int s = 0;
+        for (i = 0; i < 1000; i++) { p = leak(i); s = s + i; }
+        q = leak(s);
+        printf("%d %d\n", s, p == q);
+        return *p;
+      }|};
+  check_identical "switch on a char"
+    (compile
+       {|int main(void) {
+          char c; int letters = 0; int digits = 0; int other = 0;
+          for (c = 40; c < 126; c++) {
+            switch (c) {
+            case 'a': case 'b': case 'c': letters++; break;
+            case '0': case '1': case '2': digits++; break;
+            default: other++;
+            }
+          }
+          c = 200;
+          switch (c) { case -56: printf("wrapped\n"); break; default: printf("no\n"); }
+          printf("%d %d %d\n", letters, digits, other);
+          return 0;
+        }|})
+
+(* The oracle itself: exits are allowed their one short successor, and a
+   single miscounted block, branch or call is reported. *)
+let test_conservation () =
+  let c =
+    compile
+      {|int depth = 0;
+        int pick(int x) { return x % 3; }
+        int walk(int n) {
+          int i; int s = 0;
+          for (i = 0; i < n; i++) {
+            switch (pick(i)) { case 0: s++; break; case 1: s += 2; break; default: s--; }
+          }
+          if (n > 40) exit(s);
+          return s;
+        }
+        int main(void) {
+          int (*f)(int) = walk; int t = 0; int k;
+          for (k = 0; k < 50; k += 10) t += f(k) + walk(k + 1);
+          return t;
+        }|}
+  in
+  check_identical "exit" c;
+  let o = run_with Compiled c in
+  Alcotest.(check int) "exited from walk(41)" 29 o.Eval.exit_code;
+  let broken mutate =
+    let p = Profile.load (Profile.save o.Eval.profile) in
+    mutate p;
+    Profile.conservation_violations c.Pipeline.prog p <> []
+  in
+  let walk = Profile.fn_counters o.Eval.profile "walk" in
+  let bump (a : float array) i = a.(i) <- a.(i) +. 2.0 in
+  let branch =
+    let rec find i = if walk.Profile.branch_taken.(i) > 0.0 then i else find (i + 1) in
+    find 0
+  in
+  Alcotest.(check bool) "block miscount caught" true
+    (broken (fun p ->
+         bump (Profile.fn_counters p "walk").Profile.block_counts
+           (Array.length walk.Profile.block_counts - 1)));
+  Alcotest.(check bool) "branch miscount caught" true
+    (broken (fun p -> bump (Profile.fn_counters p "walk").Profile.branch_taken branch));
+  Alcotest.(check bool) "call-site miscount caught" true
+    (broken (fun p -> bump p.Profile.site_counts 0))
+
 let test_fuel_limit () =
   (* Fuel exhaustion is no longer a fatal [Runtime_error]: both back
      ends raise [Budget_exhausted (Fuel, outcome)] carrying the partial
@@ -211,6 +361,9 @@ let prop_backends_identical =
       let obs backend =
         match run_with backend ~fuel:200_000 c with
         | o ->
+          if Profile.conservation_violations c.Pipeline.prog o.Eval.profile
+             <> []
+          then QCheck.Test.fail_report "flow conservation violated";
           Ok (o.Eval.exit_code, o.Eval.stdout_text, Profile.save o.Eval.profile)
         | exception Value.Runtime_error m -> Error m
         | exception Eval.Budget_exhausted (stop, o) ->
@@ -227,6 +380,8 @@ let suite =
       test_suite_differential;
     Alcotest.test_case "argv and stdin" `Quick test_argv_and_stdin;
     Alcotest.test_case "identical diagnostics" `Quick test_diagnostics;
+    Alcotest.test_case "unboxed and fused fast paths" `Quick test_fast_paths;
+    Alcotest.test_case "flow conservation oracle" `Quick test_conservation;
     Alcotest.test_case "fuel limit" `Quick test_fuel_limit;
     Alcotest.test_case "wall-clock limit" `Quick test_wall_clock_limit;
     Alcotest.test_case "memoized shared state" `Quick test_memoization;
