@@ -12,8 +12,8 @@
 
    - expression types, element sizes and field offsets are baked into the
      closures (no side-table lookups at run time);
-   - locals are addressed by pre-computed slot index, with the
-     aggregate-vs-scalar load decision made once;
+   - locals are addressed by pre-computed slot index in the frame, with
+     the aggregate-vs-scalar load decision made once;
    - globals are addressed by a dense index into a per-run pointer array
      instead of a name hashtable;
    - string literals get a per-literal cache slot (still allocated lazily,
@@ -22,6 +22,22 @@
    - direct call targets and builtin dispatch are looked up ahead of time,
      and each call site carries its profile counter index.
 
+   The frame is a [Value.value array], one slot per local:
+
+   - a register (a scalar local whose address is never taken: no [&x]
+     anywhere in the function, and no list initializer; see
+     [register_slots]) holds the local's value itself. Reads, stores,
+     compound assignments, [++]/[--], parameter binding and its
+     initializer use the slot directly, with no block, lookup or check;
+   - every other local holds the [Vptr] of its block, so an aggregate is
+     read without building a pointer.
+
+   Block ids are reserved, not allocated: [call_fn] takes one id per
+   register too, through [Memory.reserve], which fills the table slot
+   with the local's shared dead record at once. Ids, pointer order
+   ([Eval.ordered] compares block ids) and every diagnostic that prints
+   an id are therefore those of [Eval], which allocates every local.
+
    The hot loop allocates as little as the boxed value model allows:
 
    - [int]/[char] operators run on unboxed OCaml ints ([compile_int],
@@ -29,14 +45,15 @@
      switch operands to ints. Values are boxed once, where they are
      stored, passed or returned. A cell typed [int] may still hold a
      pointer or float stored through a cast, so loads stay boxed and each
-     consumer converts them exactly where [Eval] does;
+     consumer converts them exactly where [Eval] does; an [int]/[char]
+     register always holds a [Vint] and is read unboxed;
    - [a[i]], [s.f] and [p->f] are read and written through
      [Memory.load_at]/[store_at] from the base pointer, without building
      the offset pointer;
    - a call passes its arguments in an array, and blocks run in a
      top-level recursion, so a call allocates no list and no closure;
-   - a returned call's locals are replaced in the store by one dead
-     record per local declaration, shared by every activation
+   - a returned call's memory locals are replaced in the store by one
+     dead record per local declaration, shared by every activation
      ([c_local_dead]); dead and freed blocks keep no cells;
    - work units are not summed per block: every block subtracts its cost
      from fuel and [Eval] adds the same cost to work, so [run] sets work
@@ -76,9 +93,17 @@ type state = {
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
 }
 
-type frame = Value.ptr array (* the current call's locals, by slot *)
+(* The current call's locals, by slot: a register's value, or the
+   [Vptr] of the block holding any other local. *)
+type frame = Value.value array
 
 let null_ptr = { Value.blk = -1; off = 0 }
+
+(* The block of a local that is not a register. *)
+let slot_ptr (fr : frame) (slot : int) : Value.ptr =
+  match Array.unsafe_get fr slot with
+  | Value.Vptr p -> p
+  | _ -> invalid_arg "Compile.slot_ptr"
 
 type ev = state -> frame -> Value.value   (* compiled expression *)
 type lv = state -> frame -> Value.ptr     (* compiled lvalue *)
@@ -117,6 +142,7 @@ type cfn = {
   c_local_sizes : int array;
   c_local_tags : string array;
   c_local_dead : Memory.block array;    (* shared by every activation *)
+  c_regs : bool array;                  (* by slot: a register local *)
   c_bind_params : (state -> frame -> Value.value -> unit) array;
   c_coerce_ret : Value.value -> Value.value;
 }
@@ -186,12 +212,19 @@ let rec exec_blocks (st : state) (fr : frame) (blocks : cblock array)
   | Creturn e -> e st fr
 
 (* Mirror of [Eval.exec_fn]: allocate locals (same order, same tags),
-   bind parameters, run the blocks, kill the locals, coerce the result. *)
+   bind parameters, run the blocks, kill the locals, coerce the result.
+   A register starts as the [Vint 0] of a fresh cell and only reserves
+   its block id, which is dead from the start and never killed. *)
 and call_fn (st : state) (cf : cfn) (args : Value.value array) : Value.value =
   let n = Array.length cf.c_local_sizes in
-  let fr = Array.make n null_ptr in
+  let regs = cf.c_regs in
+  let fr = Array.make n (Value.Vint 0) in
   for i = 0 to n - 1 do
-    fr.(i) <- Memory.alloc st.mem cf.c_local_sizes.(i) ~tag:cf.c_local_tags.(i)
+    if regs.(i) then Memory.reserve st.mem cf.c_local_dead.(i)
+    else
+      fr.(i) <-
+        Value.Vptr
+          (Memory.alloc st.mem cf.c_local_sizes.(i) ~tag:cf.c_local_tags.(i))
   done;
   for i = 0 to Array.length args - 1 do
     cf.c_bind_params.(i) st fr args.(i)
@@ -200,7 +233,7 @@ and call_fn (st : state) (cf : cfn) (args : Value.value array) : Value.value =
     exec_blocks st fr cf.c_blocks st.fcounters.(cf.c_index) cf.c_entry
   in
   for i = 0 to n - 1 do
-    Memory.kill st.mem fr.(i) cf.c_local_dead.(i)
+    if not regs.(i) then Memory.kill st.mem (slot_ptr fr i) cf.c_local_dead.(i)
   done;
   cf.c_coerce_ret result
 
@@ -370,6 +403,7 @@ type cenv = {
   string_index : (string, int) Hashtbl.t;
   mutable n_strings : int;
   mutable fn_info : Typecheck.fun_info option; (* function being compiled *)
+  mutable regs : bool array;                   (* its [c_regs] *)
 }
 
 let ty_of (env : cenv) (e : Ast.expr) : Ctypes.ty =
@@ -386,6 +420,12 @@ let local_ty (env : cenv) (slot : int) : Ctypes.ty =
   match env.fn_info with
   | Some fi -> fi.Typecheck.fi_locals.(slot).Typecheck.l_ty
   | None -> Value.error "local reference outside a function"
+
+(* The slot of the register local that [e] names, if it names one. *)
+let register_of (env : cenv) (e : Ast.expr) : int option =
+  match (e.Ast.enode, Typecheck.resolution_of env.tc e) with
+  | Ast.Ident _, Some (Typecheck.Rlocal slot) when env.regs.(slot) -> Some slot
+  | _ -> None
 
 let string_idx (env : cenv) (s : string) : int =
   match Hashtbl.find_opt env.string_index s with
@@ -510,6 +550,14 @@ and compile_int (env : cenv) (e : Ast.expr) : icode =
   | Ast.Ident _ -> begin
     match Typecheck.resolution_of env.tc e with
     | Some (Typecheck.Renum v) -> Iconst v
+    | Some (Typecheck.Rlocal slot) when env.regs.(slot) ->
+      (* Every store to an [int]/[char] register is coerced: it holds a
+         [Vint]. *)
+      Inode
+        (fun _ fr ->
+          match Array.unsafe_get fr slot with
+          | Value.Vint n -> n
+          | _ -> invalid_arg "Compile: int register")
     | _ -> Ibox (compile_ident env e)
   end
   | Ast.Binop
@@ -611,9 +659,9 @@ and compile_ident (env : cenv) (e : Ast.expr) : ev =
     fun _ _ -> v
   | Some (Typecheck.Rlocal slot) -> begin
     match local_ty env slot with
-    | Ctypes.Tstruct _ | Ctypes.Tarray _ ->
-      fun _ fr -> Value.Vptr fr.(slot)
-    | _ -> fun st fr -> Memory.load st.mem fr.(slot)
+    | Ctypes.Tstruct _ | Ctypes.Tarray _ -> fun _ fr -> fr.(slot) (* a [Vptr] *)
+    | _ when env.regs.(slot) -> fun _ fr -> fr.(slot)
+    | _ -> fun st fr -> Memory.load st.mem (slot_ptr fr slot)
   end
   | Some (Typecheck.Rglobal gname) -> begin
     let d = Hashtbl.find env.tc.Typecheck.globals gname in
@@ -637,7 +685,9 @@ and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
   match e.Ast.enode with
   | Ast.Ident name -> begin
     match Typecheck.resolution_of env.tc e with
-    | Some (Typecheck.Rlocal slot) -> fun _ fr -> fr.(slot)
+    | Some (Typecheck.Rlocal slot) ->
+      if env.regs.(slot) then invalid_arg "Compile: register has no address";
+      fun _ fr -> slot_ptr fr slot
     | Some (Typecheck.Rglobal gname) -> begin
       match Hashtbl.find_opt env.global_index gname with
       | Some gi -> fun st _ -> st.globals.(gi)
@@ -709,7 +759,7 @@ and aggregate_address (env : cenv) (e : Ast.expr) : lv option =
   match (e.Ast.enode, Typecheck.resolution_of env.tc e) with
   | Ast.Ident _, Some (Typecheck.Rlocal slot) -> begin
     match local_ty env slot with
-    | Ctypes.Tstruct _ | Ctypes.Tarray _ -> Some (fun _ fr -> fr.(slot))
+    | Ctypes.Tstruct _ | Ctypes.Tarray _ -> Some (fun _ fr -> slot_ptr fr slot)
     | _ -> None
   end
   | Ast.Ident _, Some (Typecheck.Rglobal gname) -> begin
@@ -879,20 +929,27 @@ and compile_assign (env : cenv) (op : Ast.assign_op) (lhs : Ast.expr)
           Memory.store_at st.mem b (ix * scale) v;
           v
     end
-    | _ ->
-      let loc = compile_lvalue env lhs in
+    | _ -> begin
       let crhs = compile_expr env rhs in
-      fun st fr ->
-        let l = loc st fr in
-        let v = Eval.coerce tl (crhs st fr) in
-        Memory.store st.mem l v;
-        v
+      match register_of env lhs with
+      | Some slot ->
+        fun st fr ->
+          let v = Eval.coerce tl (crhs st fr) in
+          fr.(slot) <- v;
+          v
+      | None ->
+        let loc = compile_lvalue env lhs in
+        fun st fr ->
+          let l = loc st fr in
+          let v = Eval.coerce tl (crhs st fr) in
+          Memory.store st.mem l v;
+          v
+    end
   end
   | _, (Ctypes.Tint | Ctypes.Tchar) when Ctypes.is_integer (ty_of env rhs) ->
     (* Integer compound assignment: the operator runs unboxed and the
        result is boxed once, for the store. *)
     let bop = Option.get (Ast.binop_of_assign op) in
-    let loc = compile_lvalue env lhs in
     let app = compile_apply_binop env ~ta:tl ~tb:(ty_of env rhs) bop in
     let apply =
       lift2v (int_arith bop)
@@ -900,27 +957,39 @@ and compile_assign (env : cenv) (op : Ast.assign_op) (lhs : Ast.expr)
         (compile_int env rhs)
     in
     let wrap = if tl = Ctypes.Tchar then Value.wrap8 else Value.wrap32 in
-    fun st fr ->
-      let l = loc st fr in
-      let v = Value.Vint (wrap (apply (Memory.load st.mem l) st fr)) in
-      Memory.store st.mem l v;
-      v
+    compile_update env lhs ~post:false (fun old st fr ->
+        Value.Vint (wrap (apply old st fr)))
   | _, _ ->
     let bop = Option.get (Ast.binop_of_assign op) in
-    let loc = compile_lvalue env lhs in
     let crhs = compile_expr env rhs in
     let app = compile_apply_binop env ~ta:tl ~tb:(ty_of env rhs) bop in
+    compile_update env lhs ~post:false (fun old st fr ->
+        let vr = crhs st fr in
+        Eval.coerce tl (app old vr))
+
+(* Read-modify-write of a scalar lvalue: the address first, then the old
+   value, then [fresh old] (which may run further code) is stored. The
+   value is the stored one, or the old one when [post]. *)
+and compile_update (env : cenv) (lhs : Ast.expr) ~(post : bool)
+    (fresh : Value.value -> state -> frame -> Value.value) : ev =
+  match register_of env lhs with
+  | Some slot ->
+    fun st fr ->
+      let old = fr.(slot) in
+      let v = fresh old st fr in
+      fr.(slot) <- v;
+      if post then old else v
+  | None ->
+    let loc = compile_lvalue env lhs in
     fun st fr ->
       let l = loc st fr in
       let old = Memory.load st.mem l in
-      let vr = crhs st fr in
-      let v = Eval.coerce tl (app old vr) in
+      let v = fresh old st fr in
       Memory.store st.mem l v;
-      v
+      if post then old else v
 
 and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
     ~(pre : bool) : ev =
-  let loc = compile_lvalue env a in
   let ty = ty_of env a in
   let fresh_of : Value.value -> Value.value =
     match ty with
@@ -944,12 +1013,7 @@ and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
       end
     | _ -> fun old -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
   in
-  fun st fr ->
-    let l = loc st fr in
-    let old = Memory.load st.mem l in
-    let fresh = fresh_of old in
-    Memory.store st.mem l fresh;
-    if pre then fresh else old
+  compile_update env a ~post:(not pre) (fun old _ _ -> fresh_of old)
 
 (* Calls: the site counter index, argument passing convention and callee
    dispatch are all resolved at compile time. *)
@@ -1075,9 +1139,13 @@ let compile_instr (env : cenv) : Cfg.instr -> state -> frame -> unit =
     fun st fr -> ignore (ce st fr)
   | Cfg.Ilocal_init (slot, d) -> begin
     match d.Ast.d_init with
+    | Some (Ast.Iexpr e) when env.regs.(slot) ->
+      let ce = compile_expr env e in
+      let ty = d.Ast.d_ty in
+      fun st fr -> fr.(slot) <- Eval.coerce ty (ce st fr)
     | Some init ->
       let w = compile_write_init env d.Ast.d_ty init in
-      fun st fr -> w st fr fr.(slot)
+      fun st fr -> w st fr (slot_ptr fr slot)
     | None -> fun _ _ -> ()
   end
 
@@ -1100,17 +1168,54 @@ let compile_block (env : cenv) (b : Cfg.block) : cblock =
     cb_cost = 1 + List.length b.Cfg.b_instrs;
     cb_term = compile_term env b.Cfg.b_term }
 
-let bind_param (env : cenv) (li : Typecheck.local_info) (i : int) :
-    state -> frame -> Value.value -> unit =
+let bind_param (env : cenv) (regs : bool array) (li : Typecheck.local_info)
+    (i : int) : state -> frame -> Value.value -> unit =
   match li.Typecheck.l_ty with
   | Ctypes.Tstruct si ->
     let size = (Ctypes.find env.reg si).Ctypes.str_size in
     fun st fr v -> begin
       match v with
-      | Value.Vptr src -> Memory.blit st.mem ~src ~dst:fr.(i) size
+      | Value.Vptr src -> Memory.blit st.mem ~src ~dst:(slot_ptr fr i) size
       | v -> Value.error "struct argument is %s" (Value.to_string v)
     end
-  | ty -> fun st fr v -> Memory.store st.mem fr.(i) (Eval.coerce ty v)
+  | ty when regs.(i) -> fun _ fr v -> fr.(i) <- Eval.coerce ty v
+  | ty -> fun st fr v -> Memory.store st.mem (slot_ptr fr i) (Eval.coerce ty v)
+
+(* The escape pass: a local is a register when it is a scalar, no [&x]
+   names it anywhere in the function (dead code included), and its
+   initializer, if any, is one expression. *)
+let register_slots (tc : Typecheck.t) (fn : Cfg.fn) : bool array =
+  let regs =
+    Array.map
+      (fun (li : Typecheck.local_info) ->
+        match li.Typecheck.l_ty with
+        | Ctypes.Tint | Ctypes.Tchar | Ctypes.Tdouble | Ctypes.Tptr _ -> true
+        | _ -> false)
+      fn.Cfg.fn_info.Typecheck.fi_locals
+  in
+  let on_expr (e : Ast.expr) =
+    match e.Ast.enode with
+    | Ast.Unop (Ast.Uaddr, a) -> begin
+      match (a.Ast.enode, Typecheck.resolution_of tc a) with
+      | Ast.Ident _, Some (Typecheck.Rlocal slot) -> regs.(slot) <- false
+      | _ -> ()
+    end
+    | _ -> ()
+  in
+  let on_decl (d : Ast.decl) =
+    match (d.Ast.d_init, Hashtbl.find_opt tc.Typecheck.decl_slots d.Ast.d_id) with
+    | Some (Ast.Ilist _), Some slot when slot >= 0 -> regs.(slot) <- false
+    | _ -> ()
+  in
+  let on_stmt (s : Ast.stmt) =
+    match s.Ast.snode with
+    | Ast.Sblock items ->
+      List.iter (function Ast.Bdecl d -> on_decl d | Ast.Bstmt _ -> ()) items
+    | Ast.Sfor (Ast.Fdecl ds, _, _, _) -> List.iter on_decl ds
+    | _ -> ()
+  in
+  Ast.iter_stmt ~on_stmt ~on_expr fn.Cfg.fn_def.Ast.f_body;
+  regs
 
 let compile (src : Cfg.program) : prog =
   let tc = src.Cfg.prog_tc in
@@ -1122,7 +1227,8 @@ let compile (src : Cfg.program) : prog =
   let env =
     { tc; reg = tc.Typecheck.tunit.Ast.structs; site_of_expr;
       fns = Hashtbl.create 32; global_index = Hashtbl.create 32;
-      string_index = Hashtbl.create 64; n_strings = 0; fn_info = None }
+      string_index = Hashtbl.create 64; n_strings = 0; fn_info = None;
+      regs = [||] }
   in
   List.iteri
     (fun i name -> Hashtbl.replace env.global_index name i)
@@ -1133,6 +1239,7 @@ let compile (src : Cfg.program) : prog =
     List.mapi
       (fun i (fn : Cfg.fn) ->
         let fi = fn.Cfg.fn_info in
+        let regs = register_slots tc fn in
         let tags =
           Array.map
             (fun (li : Typecheck.local_info) ->
@@ -1149,9 +1256,10 @@ let compile (src : Cfg.program) : prog =
                 fi.Typecheck.fi_locals;
             c_local_tags = tags;
             c_local_dead = Array.map Memory.dead_block tags;
+            c_regs = regs;
             c_bind_params =
               Array.mapi
-                (fun i li -> bind_param env li i)
+                (fun i li -> bind_param env regs li i)
                 fi.Typecheck.fi_locals;
             c_coerce_ret = Eval.coerce fn.Cfg.fn_def.Ast.f_ret }
         in
@@ -1163,9 +1271,11 @@ let compile (src : Cfg.program) : prog =
   List.iter2
     (fun (fn : Cfg.fn) cf ->
       env.fn_info <- Some fn.Cfg.fn_info;
+      env.regs <- cf.c_regs;
       cf.c_blocks <- Array.map (compile_block env) fn.Cfg.fn_blocks)
     src.Cfg.prog_fns fn_list;
   env.fn_info <- None;
+  env.regs <- [||];
   (* Global initializers, compiled in declaration order. *)
   let global_inits =
     List.filter_map

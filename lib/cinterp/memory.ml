@@ -17,14 +17,7 @@ let create () = { blocks = [||]; count = 0 }
 
 let n_blocks m = m.count
 
-(* Most locals are scalars: a one-cell block is built inline rather than
-   through the generic [Array.make] runtime call. *)
-let alloc (m : t) (size : int) ~(tag : string) : Value.ptr =
-  if size < 0 then Value.error "allocation of negative size (%s)" tag;
-  let cells =
-    if size = 1 then [| Value.Vint 0 |] else Array.make size (Value.Vint 0)
-  in
-  let blk = { cells; live = true; tag } in
+let push (m : t) (blk : block) : unit =
   if m.count = Array.length m.blocks then begin
     let cap = max 64 (2 * m.count) in
     let blocks =
@@ -34,8 +27,24 @@ let alloc (m : t) (size : int) ~(tag : string) : Value.ptr =
     m.blocks <- blocks
   end;
   m.blocks.(m.count) <- blk;
-  m.count <- m.count + 1;
+  m.count <- m.count + 1
+
+(* Most locals are scalars: a one-cell block is built inline rather than
+   through the generic [Array.make] runtime call. *)
+let alloc (m : t) (size : int) ~(tag : string) : Value.ptr =
+  if size < 0 then Value.error "allocation of negative size (%s)" tag;
+  let cells =
+    if size = 1 then [| Value.Vint 0 |] else Array.make size (Value.Vint 0)
+  in
+  push m { cells; live = true; tag };
   { Value.blk = m.count - 1; off = 0 }
+
+(* Take the next block id for an object that lives outside the store,
+   filling its slot with [dead] at once. Ids, pointer order and every
+   diagnostic are then those of a program that allocated the object here
+   and killed it later; nothing can reach the slot meanwhile, since the
+   object's address is never taken. *)
+let reserve (m : t) (dead : block) : unit = push m dead
 
 let lookup (m : t) (p : Value.ptr) : block =
   if p.Value.blk < 0 || p.Value.blk >= m.count then

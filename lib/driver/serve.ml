@@ -42,7 +42,8 @@
    ["deadline_exceeded": true] (the request overran [--deadline-ms]).
 
    The [id] is echoed as parsed (any JSON value; [null] when the
-   request had none or did not parse).
+   request had none or did not parse); a number is echoed as the very
+   text the client sent.
 
    Fault isolation. Each request body runs under [Fault.capture]: a bad
    source degrades exactly one response — carrying the fault's
@@ -74,11 +75,28 @@ type request = { rq_id : Json.t; rq_op : string; rq_body : Json.t }
 let member_str (name : string) (j : Json.t) : string option =
   Option.bind (Json.member name j) Json.to_str
 
+(* A numeric id is echoed as the client wrote it: [1e999] is no float
+   and [12345678901234567890123] has more digits than one. An id that
+   would not print back as written is kept as its text, in the body too,
+   so a routed request forwards it unchanged. *)
 let parse_request (line : string) : (request, Json.t * string) result =
-  match Json.parse line with
+  match Json.parse_members line with
   | Error msg -> Error (Json.Null, "request is not valid JSON: " ^ msg)
-  | Ok j ->
-    let id = Option.value ~default:Json.Null (Json.member "id" j) in
+  | Ok (j, spans) ->
+    let j, id =
+      match (j, Json.member "id" j) with
+      | Json.Obj fields, Some (Json.Num f as num) ->
+        let start, stop = List.assoc "id" spans in
+        let text = String.sub line start (stop - start) in
+        if Float.is_finite f && Json.float_repr f = text then (j, num)
+        else
+          let raw = Json.Raw text in
+          ( Json.Obj
+              (List.map (fun (k, v) -> if k = "id" then (k, raw) else (k, v))
+                 fields),
+            raw )
+      | _, id -> (j, Option.value ~default:Json.Null id)
+    in
     (match member_str "op" j with
     | None -> Error (id, "request has no \"op\" field")
     | Some op -> Ok { rq_id = id; rq_op = op; rq_body = j })
@@ -710,13 +728,22 @@ let fan_out ?(deadline_s : float option) (stop : bool ref)
 
 (* Strip a worker's ["__spans"] envelope off its reply line, returning
    the client-facing line and the shipped tree — only when the echoed
-   sequence number proves the subtree belongs to this request. *)
-let strip_spans ~(seq : int) (line : string) :
+   sequence number proves the subtree belongs to this request. The
+   reprinted line echoes the request's own [id], which parsing the reply
+   would round through a float. *)
+let strip_spans ~(seq : int) ~(id : Json.t) (line : string) :
     string * Reqtrace.tree option =
   match Json.parse line with
   | Ok (Json.Obj fields) when List.mem_assoc "__spans" fields ->
     let env = List.assoc "__spans" fields in
-    let rest = List.filter (fun (k, _) -> k <> "__spans") fields in
+    let rest =
+      List.filter_map
+        (fun (k, v) ->
+          if k = "__spans" then None
+          else if k = "id" then Some (k, id)
+          else Some (k, v))
+        fields
+    in
     let tree =
       match Option.bind (Json.member "seq" env) Json.to_num with
       | Some s when int_of_float s = seq ->
@@ -770,7 +797,8 @@ let route (pool : Supervise.t) ~(tracing : bool) ~(seq_of : int -> int)
         let line, wtree =
           match outcome with
           | Supervise.Reply l ->
-            if tracing then strip_spans ~seq:(seq_of i) l else (l, None)
+            if tracing then strip_spans ~seq:(seq_of i) ~id:rq.rq_id l
+            else (l, None)
           | Supervise.Deadline s ->
             (Json.to_compact_string (deadline_response rq.rq_id ~name s), None)
           | Supervise.Lost d ->

@@ -12,6 +12,7 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string (* JSON text, printed as is; [parse] never yields it *)
 
 exception Parse_error of string
 
@@ -53,6 +54,7 @@ let rec print (buf : Buffer.t) (indent : int) (v : t) : unit =
   | Num v ->
     if Float.is_finite v then Buffer.add_string buf (float_repr v)
     else Buffer.add_string buf (Printf.sprintf "\"%s\"" (string_of_float v))
+  | Raw text -> Buffer.add_string buf text
   | Str s ->
     Buffer.add_char buf '"';
     Buffer.add_string buf (escape s);
@@ -101,6 +103,7 @@ let rec print_compact (buf : Buffer.t) (v : t) : unit =
   | Num v ->
     if Float.is_finite v then Buffer.add_string buf (float_repr v)
     else Buffer.add_string buf (Printf.sprintf "\"%s\"" (string_of_float v))
+  | Raw text -> Buffer.add_string buf text
   | Str s ->
     Buffer.add_char buf '"';
     Buffer.add_string buf (escape s);
@@ -133,9 +136,15 @@ let to_compact_string (v : t) : string =
 (* ------------------------------------------------------------------ *)
 (* Parsing. *)
 
-let parse (s : string) : (t, string) result =
+(* The document, and with [~members] where each member of a top-level
+   object lies in [s] (start, end), in document order. *)
+let parse_doc ~(members : bool) (s : string) :
+    (t * (string * (int * int)) list, string) result =
   let n = String.length s in
   let pos = ref 0 in
+  let depth = ref 0 in
+  let value_end = ref 0 in
+  let spans = ref [] in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let fail msg =
@@ -254,22 +263,28 @@ let parse (s : string) : (t, string) result =
         end
         else begin
           let fields = ref [] in
-          let rec members () =
+          incr depth;
+          let rec fields_from () =
             skip_ws ();
             let k = string_body () in
             skip_ws ();
             expect ':';
+            skip_ws ();
+            let start = !pos in
             let v = value () in
+            if members && !depth = 1 then
+              spans := (k, (start, !value_end)) :: !spans;
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
             | Some ',' ->
               advance ();
-              members ()
+              fields_from ()
             | Some '}' -> advance ()
             | _ -> fail "expected , or }"
           in
-          members ();
+          fields_from ();
+          decr depth;
           Obj (List.rev !fields)
         end
       | Some '[' ->
@@ -281,6 +296,7 @@ let parse (s : string) : (t, string) result =
         end
         else begin
           let items = ref [] in
+          incr depth;
           let rec elements () =
             items := value () :: !items;
             skip_ws ();
@@ -292,6 +308,7 @@ let parse (s : string) : (t, string) result =
             | _ -> fail "expected , or ]"
           in
           elements ();
+          decr depth;
           Arr (List.rev !items)
         end
       | Some '"' -> Str (string_body ())
@@ -301,6 +318,7 @@ let parse (s : string) : (t, string) result =
       | Some ('-' | '0' .. '9') -> Num (number ())
       | _ -> fail "expected a value"
     in
+    value_end := !pos;
     skip_ws ();
     v
   in
@@ -309,8 +327,15 @@ let parse (s : string) : (t, string) result =
     if !pos <> n then fail "trailing garbage";
     v
   with
-  | v -> Ok v
+  | v -> Ok (v, List.rev !spans)
   | exception Parse_error msg -> Error msg
+
+let parse (s : string) : (t, string) result =
+  Result.map fst (parse_doc ~members:false s)
+
+let parse_members (s : string) :
+    (t * (string * (int * int)) list, string) result =
+  parse_doc ~members:true s
 
 let parse_exn (s : string) : t =
   match parse s with Ok v -> v | Error msg -> raise (Parse_error msg)

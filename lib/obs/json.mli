@@ -18,10 +18,19 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** JSON text printed as is, e.g. a number echoed exactly as a
+          client wrote it. {!parse} never yields it. *)
 
 exception Parse_error of string
 
 val parse : string -> (t, string) result
+
+val parse_members : string -> (t * (string * (int * int)) list, string) result
+(** {!parse}, plus where the value of each member of a top-level object
+    lies in the input: [(start, end)], the text as written without
+    surrounding whitespace, in document order; [[]] for any other
+    document. *)
 
 val parse_exn : string -> t
 (** Like {!parse}; raises {!Parse_error}. *)

@@ -258,7 +258,9 @@ let test_serve_sharded_matches_local () =
           req [ ("id", Json.Num 6.); ("op", Json.Str "analyze") ] ];
       [ named_req 7 "scores" "alpha"; named_req 8 "invalidate" "beta";
         named_req 9 "scores" "beta"; named_req 10 "scores" "gamma";
-        req [ ("id", Json.Num 11.); ("op", Json.Str "scores") ] ] ]
+        req [ ("id", Json.Num 11.); ("op", Json.Str "scores") ];
+        req [ ("id", Json.Raw "12345678901234567890123");
+              ("op", Json.Str "scores"); ("name", Json.Str "delta") ] ] ]
   in
   let sent = List.length (List.concat batches) in
   let stats_line = req [ ("id", Json.Num 12.); ("op", Json.Str "stats") ] in
@@ -294,6 +296,9 @@ let test_serve_sharded_matches_local () =
   let local = List.concat_map (Serve.handle_batch (ref false)) batches in
   Alcotest.(check (list string)) "routed answers are the in-process answers"
     local routed;
+  Alcotest.(check bool) "a routed numeric id is echoed verbatim" true
+    (String.starts_with ~prefix:"{\"id\":12345678901234567890123,"
+       (List.nth routed (List.length routed - 1)));
   let local_stats = List.hd (run [ stats_line ]) in
   List.iter
     (fun field ->

@@ -247,6 +247,82 @@ let test_fast_paths () =
           return 0;
         }|})
 
+(* Register locals (scalars whose address is never taken) live in the
+   frame, outside the block store. Block ids must still be numbered as
+   if every local were allocated, and a local whose address is taken
+   anywhere must stay in memory. *)
+let test_registers () =
+  check_identical "address-taken locals between registers compare by id"
+    (compile
+       {|int order(int *p, int *q) { return (p < q) + 2 * (p == q); }
+        int main(void) {
+          int r1 = 1; int a = 10; int r2 = 2; int b = 20; int r3; double r4 = 0.5;
+          int *pa = &a; int *pb = &b; int *pc = pa;
+          for (r3 = 0; r3 < 3; r3++) {
+            printf("%d %d %d %d\n", pa < pb, pb <= pa, order(pa, pb), order(pc, pa));
+            pc = r3 == 1 ? pb : pa;
+            r4 += r1 + r2;
+          }
+          printf("%g %d\n", r4, *pa + *pb);
+          return r1 + r2;
+        }|});
+  check_identical "address taken only in a nested block or a dead branch"
+    (compile
+       {|int main(void) {
+          int x = 5; int y = 0; int n = 0; int *p = 0;
+          if (y) { p = &x; *p = 100; }
+          while (n < 4) {
+            { int *q = &n; *q = *q + 1; }
+            x += n;
+          }
+          printf("%d %d %d\n", x, n, p == 0);
+          return x;
+        }|});
+  check_same_error "use after return of an address-taken local"
+    ~expect:"use of freed or dead object (leak.x)"
+    {|int *leak(int v) { int r = v * 2; int x = r; int s = x + 1; return &x; }
+      int main(void) {
+        int i; int t = 0; int *p;
+        for (i = 0; i < 5; i++) { p = leak(i); t += i; }
+        printf("%d\n", t);
+        return *p;
+      }|};
+  (* A diagnostic that prints a block id: [x] is block 4 only if the
+     registers [r], [a], [b] and [k] take ids of their own. *)
+  check_same_error "block ids in a diagnostic"
+    ~expect:"strchr: bad cell <ptr 4:0>"
+    {|int warm(int a) { int b = a + 1; return b; }
+      int probe(void) {
+        int k = 2; int x = 1; int *cells[2];
+        cells[0] = &x; cells[1] = 0;
+        return strchr((char *) cells, 'a') != 0;
+      }
+      int main(void) { int r = warm(7); return probe() + r; }|};
+  check_identical "brace initializers of scalars"
+    (compile
+       {|int main(void) {
+          int x = { 3 + 4 }; double d = { 2 }; char c = { 300 }; int *p = { &x };
+          int y = { x * 2 };
+          x += 1; y++; d *= 1.5;
+          printf("%d %d %g %d %d\n", x, y, d, c, *p);
+          return x + y;
+        }|});
+  check_identical "self-referencing updates"
+    (compile
+       {|int bump(int *p) { *p = *p + 10; return *p; }
+        int main(void) {
+          int x = 5; int y = 1; int z = 3; double d = 1.5; char *s = "abc";
+          x += x++; printf("%d\n", x);
+          z -= z--; printf("%d\n", z);
+          z = 4; z *= ++z; printf("%d\n", z);
+          d += d++; printf("%g\n", d);
+          x = bump(&y) + x; printf("%d %d\n", x, y);
+          x = x + bump(&y); printf("%d %d\n", x, y);
+          while (*s) s++;
+          printf("%d\n", *s);
+          return x;
+        }|})
+
 (* The oracle itself: exits are allowed their one short successor, and a
    single miscounted block, branch or call is reported. *)
 let test_conservation () =
@@ -381,6 +457,7 @@ let suite =
     Alcotest.test_case "argv and stdin" `Quick test_argv_and_stdin;
     Alcotest.test_case "identical diagnostics" `Quick test_diagnostics;
     Alcotest.test_case "unboxed and fused fast paths" `Quick test_fast_paths;
+    Alcotest.test_case "register locals" `Quick test_registers;
     Alcotest.test_case "flow conservation oracle" `Quick test_conservation;
     Alcotest.test_case "fuel limit" `Quick test_fuel_limit;
     Alcotest.test_case "wall-clock limit" `Quick test_wall_clock_limit;

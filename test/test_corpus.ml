@@ -10,6 +10,8 @@
    - every class generates programs that compile and terminate within
      the corpus fuel budget, and each class keeps its structural
      personality markers;
+   - every run of a seeded sample of each class has a profile that
+     passes [Profile.conservation_violations];
    - evaluation determinism: the same spec yields bit-identical
      aggregate [Score] records, rendered tables and degradation lists
      at jobs 1 and jobs 4 — and under chaos the fault set is
@@ -185,6 +187,31 @@ let test_generated_programs_terminate () =
       done)
     Shape.all_classes
 
+(* Flow conservation over the population: the profile of every run of a
+   seeded sample of each class balances, an oracle that needs no second
+   interpreter. *)
+let test_population_conserves_flow () =
+  List.iter
+    (fun cls ->
+      for index = 0 to 9 do
+        let name = Genprog.name cls index in
+        let src = Genprog.generate ~seed:11 ~cls ~size:Shape.medium ~index in
+        let c = Pipeline.compile ~name src in
+        List.iteri
+          (fun i (argv, input) ->
+            let o =
+              Pipeline.run_once ~fuel:Corpus_eval.corpus_fuel c
+                { Pipeline.argv; input }
+            in
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s run %d conserves flow" name i)
+              []
+              (Cinterp.Profile.conservation_violations c.Pipeline.prog
+                 o.Cinterp.Eval.profile))
+          Genprog.runs
+      done)
+    Shape.all_classes
+
 let test_class_personalities () =
   let src cls = Genprog.generate ~seed:1 ~cls ~size:Shape.medium ~index:0 in
   let expect cls marker =
@@ -324,6 +351,8 @@ let suite =
       `Quick test_generation_deterministic;
     Alcotest.test_case "every class compiles and terminates under fuel"
       `Slow test_generated_programs_terminate;
+    Alcotest.test_case "flow conservation over a seeded population" `Quick
+      test_population_conserves_flow;
     Alcotest.test_case "class personality markers" `Quick
       test_class_personalities;
     Alcotest.test_case "aggregate records bit-identical at jobs 1 and 4"

@@ -616,7 +616,9 @@ let test_resize_past_the_domain_limit () =
    batches the way the carriers frame them and run through
    [handle_batch]. Every request line of every batch the daemon reads
    gets exactly one JSON-object response, in order, with [ok] set and
-   the id echoed whenever the line parsed; nothing escapes. *)
+   the id echoed whenever the line parsed — a numeric id as the very
+   text the client sent, even past the float range or its precision;
+   nothing escapes. *)
 let gen_session : string list QCheck.arbitrary =
   let open QCheck.Gen in
   let str s = Json.Str s in
@@ -624,7 +626,9 @@ let gen_session : string list QCheck.arbitrary =
     oneof
       [ map (fun i -> Json.Num (float_of_int i)) small_signed_int;
         oneofl
-          [ Json.Num 1e308; Json.Num (-1e308); Json.Num 0.5; Json.Null;
+          [ Json.Num 1e308; Json.Num (-1e308); Json.Num 0.5;
+            Json.Raw "1e999"; Json.Raw "12345678901234567890123";
+            Json.Raw "-0.50E+3"; Json.Null;
             Json.Bool true; str ""; str (String.make 300 'i');
             str "\xc3\xa9\t\"quoted\"";
             Json.Arr [ Json.Num 1.; Json.Null ];
@@ -741,6 +745,14 @@ let prop_every_line_answered =
                        | Ok j -> Option.value ~default:Json.Null (Json.member "id" j)
                        | Error _ -> Json.Null
                      in
+                     let id_text l =
+                       match Json.parse_members l with
+                       | Ok (_, spans) ->
+                         Option.map
+                           (fun (start, stop) -> String.sub l start (stop - start))
+                           (List.assoc_opt "id" spans)
+                       | Error _ -> None
+                     in
                      match Json.parse resp with
                      | Ok (Json.Obj _ as r) ->
                        (match Json.member "ok" r with
@@ -749,6 +761,11 @@ let prop_every_line_answered =
                        if id_of r <> want_id then
                          QCheck.Test.fail_reportf "id not echoed: %s -> %s" line
                            resp;
+                       (match want_id with
+                       | Json.Num _ when id_text resp <> id_text line ->
+                         QCheck.Test.fail_reportf "id not verbatim: %s -> %s"
+                           line resp
+                       | _ -> ());
                        true
                      | _ -> QCheck.Test.fail_reportf "not a JSON object: %S" resp)
                    batch responses)
